@@ -12,7 +12,6 @@
 //	arpanetlint -explain allocfree      # long-form rule documentation
 //	arpanetlint -diff ./...             # dry-run: show auto-fixes as a diff
 //	arpanetlint -fix ./...              # apply auto-fixes in place
-//	arpanetlint -cache .lintcache ./... # persist effect summaries between runs
 //	arpanetlint -schema                 # print the -json schema version
 //
 // Findings go to stdout as file:line:col: rule: message (hint); the exit
@@ -52,7 +51,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fix      = fs.Bool("fix", false, "apply machine-applicable fixes in place")
 		diff     = fs.Bool("diff", false, "dry run: print machine-applicable fixes as a diff, change nothing")
 		schema   = fs.Bool("schema", false, "print the -json schema version and exit")
-		cacheArg = fs.String("cache", "", "path of the persistent effect-summary cache ('' disables)")
 		chdir    = fs.String("C", "", "run as if started in this directory")
 	)
 	if err := fs.Parse(args); err != nil {
@@ -89,7 +87,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintf(stderr, "arpanetlint: %v\n", err)
 		return 2
 	}
-	res, err := analysis.AnalyzeCached(l, patterns, names, *cacheArg)
+	res, err := analysis.AnalyzeWith(l, patterns, names)
 	if err != nil {
 		fmt.Fprintf(stderr, "arpanetlint: %v\n", err)
 		return 2

@@ -59,6 +59,9 @@ func main() {
 	if *seeds < 1 {
 		log.Fatal("-seeds must be >= 1")
 	}
+	if err := checkShardFlags(*shardsN, *adaptive, *metricName, *scenFile, *backgroundK); err != nil {
+		log.Fatal(err)
+	}
 	if *shardsN > 0 {
 		spec := *topoName
 		if spec == "arpanet" {
@@ -66,9 +69,6 @@ func main() {
 		}
 		runSharded(*shardsN, spec, *rate, *dests, *radius, *seconds, *seed, *adaptive, *metricName)
 		return
-	}
-	if *adaptive {
-		log.Fatal("-adaptive requires -shards (the Table 1 study is always adaptive)")
 	}
 	switch *topoName {
 	case "arpanet", "milnet":

@@ -13,8 +13,12 @@ package main
 // study in EXPERIMENTS.md is produced. BF-1969 is a distance-vector
 // protocol implemented only by the packet-level engine, so that leg runs
 // unsharded over the identical offered traffic.
+//
+// -scenario and -background are rejected in this mode, as is -metric
+// without -adaptive.
 
 import (
+	"errors"
 	"fmt"
 	"log"
 	"strconv"
@@ -65,6 +69,28 @@ func parseGenTopology(spec string, seed int64) (*topology.Graph, error) {
 	default:
 		return nil, fmt.Errorf("topology %q: unknown generator %q (want hier or waxman)", spec, kind)
 	}
+}
+
+// checkShardFlags rejects flag combinations that would otherwise be
+// ignored without a word: the sharded runner has no fault scripts and no
+// fluid background, its static routing takes no -metric, and -adaptive
+// exists only for it.
+func checkShardFlags(shards int, adaptive bool, metric, scenario string, backgroundK float64) error {
+	if shards <= 0 {
+		if adaptive {
+			return errors.New("-adaptive requires -shards (the Table 1 study is always adaptive)")
+		}
+		return nil
+	}
+	switch {
+	case scenario != "":
+		return errors.New("-scenario cannot be combined with -shards (fault scripts run on the Table 1 engine only)")
+	case backgroundK != 0:
+		return errors.New("-background cannot be combined with -shards (the fluid background runs on the Table 1 engine only)")
+	case !adaptive && metric != "both":
+		return fmt.Errorf("-metric %s requires -adaptive with -shards (static routing uses fixed link costs)", metric)
+	}
+	return nil
 }
 
 func runSharded(shards int, topoSpec string, rate float64, dests, radius int, seconds float64, seed int64, adaptive bool, metricName string) {

@@ -160,12 +160,11 @@ func RulesByName(names []string) ([]Rule, error) {
 // RunProgram when dependency packages are loaded and should contribute
 // effect summaries.
 func Run(pkgs []*Package, rules []Rule) []Diagnostic {
-	return RunProgram(NewProgram(pkgs, nil), pkgs, rules)
+	return RunProgram(NewProgram(pkgs), pkgs, rules)
 }
 
 // RunProgram is Run with a caller-built Program (typically spanning the
-// analyzed packages plus every loaded dependency, and optionally a
-// summary cache).
+// analyzed packages plus every loaded dependency).
 func RunProgram(prog *Program, pkgs []*Package, rules []Rule) []Diagnostic {
 	for _, r := range rules {
 		if pr, ok := r.(ProgramRule); ok {

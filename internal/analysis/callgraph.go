@@ -24,13 +24,9 @@ package analysis
 // covers something from one that rotted.
 
 import (
-	"crypto/sha256"
-	"encoding/hex"
-	"encoding/json"
 	"go/ast"
 	"go/token"
 	"go/types"
-	"os"
 	"sort"
 )
 
@@ -38,24 +34,24 @@ import (
 // the rules consume; Witness strings carry a human-readable provenance
 // ("time.Now at internal/x/y.go:12" or "via helper") for messages.
 type Summary struct {
-	Allocates    bool   `json:"alloc,omitempty"`
-	AllocWitness string `json:"allocWitness,omitempty"`
+	Allocates    bool
+	AllocWitness string
 
-	WallClock   bool   `json:"wallClock,omitempty"`
-	WallWitness string `json:"wallWitness,omitempty"`
+	WallClock   bool
+	WallWitness string
 
-	GlobalRand  bool   `json:"globalRand,omitempty"`
-	RandWitness string `json:"randWitness,omitempty"`
+	GlobalRand  bool
+	RandWitness string
 
 	// RetMapOrder marks a function whose return value is a slice collected
 	// from a map range without sorting — legal in itself, but callers must
 	// launder it through a sort before it feeds anything ordered.
-	RetMapOrder bool `json:"retMapOrder,omitempty"`
+	RetMapOrder bool
 
 	// ParamSink[i] reports that argument i flows into an ordered sink
 	// (event scheduling, queue push, channel send, formatted output, float
 	// accumulation) inside the callee or its callees.
-	ParamSink []bool `json:"paramSink,omitempty"`
+	ParamSink []bool
 }
 
 func (s *Summary) equal(o *Summary) bool {
@@ -141,8 +137,8 @@ func (prog *Program) Package(path string) *Package {
 // NewProgram builds the call graph and effect summaries over the given
 // packages. Packages with load errors contribute nothing (their syntax may
 // be half-typed) but do not abort the build — the layer must tolerate a
-// broken tree exactly as the per-package rules do. cache may be nil.
-func NewProgram(pkgs []*Package, cache *SummaryCache) *Program {
+// broken tree exactly as the per-package rules do.
+func NewProgram(pkgs []*Package) *Program {
 	prog := &Program{
 		byPath: map[string]*Package{},
 		funcs:  map[*types.Func]*FuncInfo{},
@@ -163,13 +159,7 @@ func NewProgram(pkgs []*Package, cache *SummaryCache) *Program {
 		prog.indexPackage(p)
 	}
 	for _, p := range prog.pkgs {
-		if cache != nil && cache.restore(prog, p) {
-			continue
-		}
 		prog.summarizePackage(p)
-		if cache != nil {
-			cache.store(prog, p)
-		}
 	}
 	return prog
 }
@@ -670,212 +660,4 @@ func itoa(n int) string {
 		buf[i] = '-'
 	}
 	return string(buf[i:])
-}
-
-// --- summary cache ---------------------------------------------------------
-
-// summaryCacheVersion invalidates every entry when the summary format or
-// the facts feeding it change.
-const summaryCacheVersion = 1
-
-// SummaryCache persists per-package effect summaries keyed by a content
-// hash of the package's files and the hashes of its in-module imports, so
-// a whole-repo lint only recomputes summaries for packages whose code (or
-// whose dependencies' code) actually changed.
-type SummaryCache struct {
-	path    string
-	read    func(string) ([]byte, error)
-	entries map[string]*cacheEntry
-	hashes  map[string]string // pkg path -> content hash, this run
-	dirty   bool
-}
-
-type cacheEntry struct {
-	Hash   string              `json:"hash"`
-	Funcs  map[string]*Summary `json:"funcs,omitempty"`
-	Fields map[string]string   `json:"fields,omitempty"`
-	// Used records the suppression directives the summary computation
-	// consulted (file relative to the module root). Replaying them on a
-	// cache hit keeps the stale-suppression check honest: a blessing that
-	// covers an effect is live even when the summary came from the cache.
-	Used []usedMark `json:"used,omitempty"`
-}
-
-type usedMark struct {
-	File string `json:"file"`
-	Line int    `json:"line"`
-	Rule string `json:"rule"`
-}
-
-type cacheFile struct {
-	Version  int                    `json:"version"`
-	Packages map[string]*cacheEntry `json:"packages"`
-}
-
-// OpenSummaryCache loads (or initializes) the cache at path. read supplies
-// file contents for hashing; nil means os.ReadFile (loaders with overlays
-// pass a reader that sees them).
-func OpenSummaryCache(path string, read func(string) ([]byte, error)) *SummaryCache {
-	if read == nil {
-		read = os.ReadFile
-	}
-	c := &SummaryCache{path: path, read: read, entries: map[string]*cacheEntry{}, hashes: map[string]string{}}
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return c
-	}
-	var cf cacheFile
-	if json.Unmarshal(data, &cf) != nil || cf.Version != summaryCacheVersion {
-		return c
-	}
-	if cf.Packages != nil {
-		c.entries = cf.Packages
-	}
-	return c
-}
-
-// Save writes the cache back when anything changed.
-func (c *SummaryCache) Save() error {
-	if c == nil || !c.dirty {
-		return nil
-	}
-	data, err := json.Marshal(cacheFile{Version: summaryCacheVersion, Packages: c.entries})
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(c.path, data, 0o644)
-}
-
-// hash computes the package's content hash: file names and bytes in sorted
-// order, then the hashes of its in-module imports, then the cache version.
-func (c *SummaryCache) hash(prog *Program, p *Package) string {
-	h := sha256.New()
-	var names []string
-	for _, f := range p.Files {
-		names = append(names, prog.filenameOf(p, f))
-	}
-	sort.Strings(names)
-	for _, name := range names {
-		h.Write([]byte(name))
-		if data, err := c.read(name); err == nil {
-			h.Write(data)
-		}
-	}
-	var deps []string
-	if p.Types != nil {
-		for _, imp := range p.Types.Imports() {
-			if prog.byPath[imp.Path()] != nil {
-				deps = append(deps, imp.Path())
-			}
-		}
-	}
-	sort.Strings(deps)
-	for _, dep := range deps {
-		h.Write([]byte(dep))
-		h.Write([]byte(c.hashes[dep]))
-	}
-	h.Write([]byte{byte(summaryCacheVersion)})
-	return hex.EncodeToString(h.Sum(nil))
-}
-
-func (prog *Program) filenameOf(p *Package, f *ast.File) string {
-	return p.Fset.Position(f.Pos()).Filename
-}
-
-// restore attaches cached summaries when the package's hash matches.
-// Packages processed in dependency order guarantee dep hashes are final.
-func (c *SummaryCache) restore(prog *Program, p *Package) bool {
-	hash := c.hash(prog, p)
-	c.hashes[p.Path] = hash
-	e := c.entries[p.Path]
-	if e == nil || e.Hash != hash {
-		return false
-	}
-	for _, fi := range prog.funcs {
-		if fi.Pkg != p {
-			continue
-		}
-		if s := e.Funcs[fi.Obj.FullName()]; s != nil {
-			fi.Sum = *s
-		}
-	}
-	for k, v := range e.Fields {
-		if prog.fields[k] == "" {
-			prog.fields[k] = v
-		}
-	}
-	if len(e.Used) > 0 {
-		absOf := map[string]string{}
-		for _, f := range p.Files {
-			abs := prog.filenameOf(p, f)
-			absOf[p.relPath(abs)] = abs
-		}
-		for _, m := range e.Used {
-			if abs := absOf[m.File]; abs != "" {
-				p.suppressed(m.Rule, abs, m.Line) // re-mark the directive live
-			}
-		}
-	}
-	return true
-}
-
-// store records the freshly computed summaries for p.
-func (c *SummaryCache) store(prog *Program, p *Package) {
-	hash := c.hashes[p.Path]
-	if hash == "" {
-		hash = c.hash(prog, p)
-		c.hashes[p.Path] = hash
-	}
-	e := &cacheEntry{Hash: hash, Funcs: map[string]*Summary{}, Fields: map[string]string{}}
-	for _, fi := range prog.funcs {
-		if fi.Pkg != p {
-			continue
-		}
-		sum := fi.Sum
-		e.Funcs[fi.Obj.FullName()] = &sum
-	}
-	for k, v := range prog.fields {
-		if pkgOfFieldKey(k) == p.Path {
-			e.Fields[k] = v
-		}
-	}
-	for filename, byLine := range p.suppressions {
-		for _, s := range byLine {
-			for rule := range s.used {
-				e.Used = append(e.Used, usedMark{File: p.relPath(filename), Line: s.line, Rule: rule})
-			}
-		}
-	}
-	sort.Slice(e.Used, func(i, j int) bool {
-		a, b := e.Used[i], e.Used[j]
-		if a.File != b.File {
-			return a.File < b.File
-		}
-		if a.Line != b.Line {
-			return a.Line < b.Line
-		}
-		return a.Rule < b.Rule
-	})
-	c.entries[p.Path] = e
-	c.dirty = true
-}
-
-// pkgOfFieldKey strips ".Type.Field" from a field-taint key.
-func pkgOfFieldKey(key string) string {
-	// key = pkgpath.Type.Field; pkgpath itself contains dots/slashes, so
-	// cut the final two dot-separated components.
-	i := len(key) - 1
-	dots := 0
-	for ; i >= 0; i-- {
-		if key[i] == '.' {
-			dots++
-			if dots == 2 {
-				break
-			}
-		}
-	}
-	if i <= 0 {
-		return ""
-	}
-	return key[:i]
 }

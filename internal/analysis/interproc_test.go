@@ -3,9 +3,8 @@ package analysis_test
 // Acceptance probes for the interprocedural layer: each new rule must
 // demonstrably catch a bug planted (by overlay, without touching the
 // tree) in the real packages it guards, the program layer must tolerate
-// broken packages, the summary cache must not invent stale-suppression
-// findings on warm runs, and the errcheck-lite auto-fix must round-trip
-// to a clean, gofmt-stable tree.
+// broken packages, and the errcheck-lite auto-fix must round-trip to a
+// clean, gofmt-stable tree.
 
 import (
 	"bytes"
@@ -167,34 +166,6 @@ func TestProgramToleratesBrokenPackage(t *testing.T) {
 	}
 }
 
-// TestSummaryCacheWarmRun: a second run over the same tree through the
-// same cache must restore summaries AND the suppression marks they
-// consumed — a warm run must not invent stale-suppression findings for
-// blessings whose effect was served from the cache.
-func TestSummaryCacheWarmRun(t *testing.T) {
-	root := moduleRoot(t)
-	cachePath := filepath.Join(t.TempDir(), "cache.json")
-	for _, run := range []string{"cold", "warm"} {
-		l, err := analysis.NewLoader(root)
-		if err != nil {
-			t.Fatal(err)
-		}
-		res, err := analysis.AnalyzeCached(l, []string{"internal/sim", "internal/spf"}, nil, cachePath)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(res.Errors) > 0 {
-			t.Fatalf("%s run: load errors: %v", run, res.Errors)
-		}
-		for _, d := range res.Findings {
-			t.Errorf("%s run: unexpected finding: %s", run, d)
-		}
-	}
-	if _, err := os.Stat(cachePath); err != nil {
-		t.Fatalf("cache file not written: %v", err)
-	}
-}
-
 // TestFixRoundTrip: the errcheck-lite auto-fix applied to a discarded
 // target call must yield a gofmt-stable tree that re-lints clean.
 func TestFixRoundTrip(t *testing.T) {
@@ -258,44 +229,17 @@ func run() {
 	}
 }
 
-// BenchmarkLintRepo measures a full-repo lint, cold (no cache) and warm
-// (second run through a primed summary cache). CI runs it with
+// BenchmarkLintRepo measures one full-repo lint. CI runs it with
 // -benchtime 1x as a runtime smoke line.
 func BenchmarkLintRepo(b *testing.B) {
 	root := moduleRoot(b)
-	b.Run("cold", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			res, err := analysis.Analyze(root, []string{"./..."}, nil)
-			if err != nil {
-				b.Fatal(err)
-			}
-			if !res.Clean() {
-				b.Fatalf("repo not clean: %v %v", res.Findings, res.Errors)
-			}
-		}
-	})
-	b.Run("warm", func(b *testing.B) {
-		cachePath := filepath.Join(b.TempDir(), "cache.json")
-		prime, err := analysis.NewLoader(root)
+	for i := 0; i < b.N; i++ {
+		res, err := analysis.Analyze(root, []string{"./..."}, nil)
 		if err != nil {
 			b.Fatal(err)
 		}
-		if _, err := analysis.AnalyzeCached(prime, []string{"./..."}, nil, cachePath); err != nil {
-			b.Fatal(err)
+		if !res.Clean() {
+			b.Fatalf("repo not clean: %v %v", res.Findings, res.Errors)
 		}
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			l, err := analysis.NewLoader(root)
-			if err != nil {
-				b.Fatal(err)
-			}
-			res, err := analysis.AnalyzeCached(l, []string{"./..."}, nil, cachePath)
-			if err != nil {
-				b.Fatal(err)
-			}
-			if !res.Clean() {
-				b.Fatalf("repo not clean: %v %v", res.Findings, res.Errors)
-			}
-		}
-	})
+	}
 }

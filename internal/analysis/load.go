@@ -152,15 +152,6 @@ func (l *Loader) All() []*Package {
 	return out
 }
 
-// ReadFile reads a file's bytes as the loader sees them: overlay contents
-// win over the disk. The summary cache hashes through this.
-func (l *Loader) ReadFile(name string) ([]byte, error) {
-	if data, ok := l.Overlay[name]; ok {
-		return data, nil
-	}
-	return os.ReadFile(name)
-}
-
 // Load expands the patterns ("./...", "dir/...", or plain directories,
 // relative to the module root) and returns the matching packages in a
 // deterministic order. A package that fails to parse or type-check is

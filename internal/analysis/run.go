@@ -36,17 +36,11 @@ func Analyze(dir string, patterns, ruleNames []string) (Result, error) {
 }
 
 // AnalyzeWith is Analyze over a caller-configured loader (overlays, test
-// files).
+// files). The interprocedural program is built over every package the
+// load pulled in — dependencies included — so effects propagate across
+// package boundaries; findings are still reported only for the packages
+// the patterns named.
 func AnalyzeWith(l *Loader, patterns, ruleNames []string) (Result, error) {
-	return AnalyzeCached(l, patterns, ruleNames, "")
-}
-
-// AnalyzeCached is AnalyzeWith with a persistent effect-summary cache at
-// cachePath ("" disables caching). The interprocedural program is built
-// over every package the load pulled in — dependencies included — so
-// effects propagate across package boundaries; findings are still
-// reported only for the packages the patterns named.
-func AnalyzeCached(l *Loader, patterns, ruleNames []string, cachePath string) (Result, error) {
 	rules, err := RulesByName(ruleNames)
 	if err != nil {
 		return Result{}, err
@@ -55,15 +49,7 @@ func AnalyzeCached(l *Loader, patterns, ruleNames []string, cachePath string) (R
 	if err != nil {
 		return Result{}, err
 	}
-	var cache *SummaryCache
-	if cachePath != "" {
-		cache = OpenSummaryCache(cachePath, l.ReadFile)
-	}
-	prog := NewProgram(l.All(), cache)
-	if cache != nil {
-		// Best effort: a read-only tree still lints, it just re-summarizes.
-		_ = cache.Save()
-	}
+	prog := NewProgram(l.All())
 	res := Result{Version: ResultVersion, Findings: []Diagnostic{}}
 	for _, p := range pkgs {
 		for _, e := range p.Errors {

@@ -311,12 +311,6 @@ func (n *Network) BackgroundReassigns() int64 {
 	return n.fluid.Reassigns()
 }
 
-// LastFlooded returns the cost most recently flooded for the link.
-func (n *Network) LastFlooded(l topology.LinkID) float64 { return n.links[l].lastFlooded }
-
-// WarmupOver reports whether statistics collection has begun.
-func (n *Network) WarmupOver() bool { return n.warmed }
-
 // Stop halts the current Run after the executing event returns, leaving the
 // clock at the stopping event's time; the scenario engine uses it to freeze
 // the simulation at an invariant violation.

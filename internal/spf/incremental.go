@@ -19,10 +19,11 @@ import (
 // tie-breaking among equal-cost paths may differ, which routing is
 // insensitive to.
 
-// IncrementalRouter is a Router variant that repairs its tree in place.
-// It satisfies the same behavioural contract as Router and additionally
-// reports how many nodes each update touched — the PSN-CPU proxy used by
-// the routing-overhead experiments.
+// IncrementalRouter is one PSN's routing state: the link-cost database
+// (identical at every PSN once flooding converges) and the SPF tree rooted
+// at the PSN, repaired in place on every cost change. It also reports how
+// many nodes each update touched — the PSN-CPU proxy used by the
+// routing-overhead experiments.
 type IncrementalRouter struct {
 	g     *topology.Graph
 	root  topology.NodeID
@@ -65,8 +66,8 @@ func validCost(c float64) bool {
 	return c > 0 && !math.IsNaN(c) && !math.IsInf(c, 0)
 }
 
-// Tree returns the current SPF tree. Unlike Router, the tree IS mutated in
-// place by updates; callers must re-read after Update.
+// Tree returns the current SPF tree. The tree is mutated in place by
+// updates; callers must re-read after Update.
 func (r *IncrementalRouter) Tree() *Tree { return r.tree }
 
 // Cost returns the router's current belief about a link's cost.
@@ -79,8 +80,7 @@ func (r *IncrementalRouter) Stats() (full, incremental, skipped, touched int64) 
 }
 
 // Recomputes returns the number of route computations of any kind (full or
-// incremental) — the Table 1 "PSN CPU" proxy, comparable with
-// Router.Recomputes.
+// incremental) — the Table 1 "PSN CPU" proxy.
 func (r *IncrementalRouter) Recomputes() int64 { return r.full + r.incremental }
 
 // Skipped returns how many updates were absorbed without touching the tree.

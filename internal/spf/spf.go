@@ -4,8 +4,8 @@
 // revised metric changed none of this — only the link costs changed — so
 // this package is shared by D-SPF, HN-SPF and min-hop routing.
 //
-// Router additionally implements the PSN's *incremental* SPF: "the
-// algorithm... attempts to perform only incremental adjustments
+// IncrementalRouter additionally implements the PSN's *incremental* SPF:
+// "the algorithm... attempts to perform only incremental adjustments
 // necessitated by a link cost change, e.g., if a routing update reports an
 // increase in the cost for a link not in the tree, the algorithm does not
 // recompute any part of the tree."
@@ -127,4 +127,26 @@ func (t *Tree) InTree(link topology.LinkID) bool {
 		}
 	}
 	return false
+}
+
+// HopTree computes the min-hop tree from root (all links cost 1), the
+// Table 1 "minimum path" indicator.
+func HopTree(g *topology.Graph, root topology.NodeID) *Tree {
+	return Compute(g, root, func(topology.LinkID) float64 { return 1 })
+}
+
+// AllPairsHops returns the min-hop distance matrix as [src][dst] hop
+// counts (-1 when unreachable).
+func AllPairsHops(g *topology.Graph) [][]int {
+	n := g.NumNodes()
+	m := make([][]int, n)
+	for s := 0; s < n; s++ {
+		t := HopTree(g, topology.NodeID(s))
+		row := make([]int, n)
+		for d := 0; d < n; d++ {
+			row[d] = t.Hops(g, topology.NodeID(d))
+		}
+		m[s] = row
+	}
+	return m
 }

@@ -165,118 +165,6 @@ func TestInTree(t *testing.T) {
 	}
 }
 
-func TestRouterIncrementalSkips(t *testing.T) {
-	g, _ := diamond()
-	a, d := g.MustLookup("A"), g.MustLookup("D")
-	r := NewRouter(g, a, 1)
-	base := r.Recomputes()
-
-	// Find a link not in A's tree: the reverse of the chosen first hop.
-	inTree := r.Tree().NextHop(d)
-	notInTree := g.Link(inTree).Reverse()
-
-	// Increase on an out-of-tree link: must skip (§2.2's example).
-	if r.Update(notInTree, 5) {
-		t.Error("increase on out-of-tree link should not change the tree")
-	}
-	if r.Recomputes() != base {
-		t.Error("increase on out-of-tree link should skip recomputation")
-	}
-	if r.Skipped() == 0 {
-		t.Error("skip counter should increment")
-	}
-
-	// Decrease that cannot improve any path: skip.
-	if r.Update(notInTree, 4) {
-		t.Error("harmless decrease should not change the tree")
-	}
-	if r.Recomputes() != base {
-		t.Error("harmless decrease should skip recomputation")
-	}
-
-	// Unchanged cost: no-op.
-	if r.Update(notInTree, 4) {
-		t.Error("unchanged cost should be a no-op")
-	}
-
-	// Increase on the in-tree link: must recompute and reroute.
-	if !r.Update(inTree, 10) {
-		t.Error("increase on the used link should change the route")
-	}
-	if r.Recomputes() == base {
-		t.Error("in-tree increase must recompute")
-	}
-	if r.Tree().NextHop(d) == inTree {
-		t.Error("route should have moved off the expensive link")
-	}
-}
-
-func TestRouterDecreaseAttracts(t *testing.T) {
-	g, ids := diamond()
-	a, d := g.MustLookup("A"), g.MustLookup("D")
-	r := NewRouter(g, a, 1)
-	// Push traffic to C by pricing the B path up.
-	r.Update(ids["ab"], 10)
-	if r.Tree().NextHop(d) != ids["ac"] {
-		t.Fatal("setup: route should be via C")
-	}
-	// Now make the B path very attractive again.
-	if !r.Update(ids["ab"], 0.1) {
-		t.Error("a strong decrease should re-attract the route")
-	}
-	if r.Tree().NextHop(d) != ids["ab"] {
-		t.Error("route should be via B after the decrease")
-	}
-}
-
-func TestRouterUpdateBatch(t *testing.T) {
-	g, ids := diamond()
-	a, d := g.MustLookup("A"), g.MustLookup("D")
-	r := NewRouter(g, a, 1)
-	before := r.Recomputes()
-	changed := r.UpdateBatch(
-		[]topology.LinkID{ids["ab"], ids["bd"]},
-		[]float64{10, 10},
-	)
-	if !changed {
-		t.Error("batch pricing the whole B path up must change the route")
-	}
-	if r.Recomputes() != before+1 {
-		t.Errorf("batch should recompute exactly once, did %d", r.Recomputes()-before)
-	}
-	if r.Tree().NextHop(d) != ids["ac"] {
-		t.Error("route should be via C")
-	}
-	// A batch of pure no-ops must not recompute.
-	before = r.Recomputes()
-	if r.UpdateBatch([]topology.LinkID{ids["ab"]}, []float64{10}) {
-		t.Error("no-op batch should not change the tree")
-	}
-	if r.Recomputes() != before {
-		t.Error("no-op batch should not recompute")
-	}
-}
-
-func TestRouterPanics(t *testing.T) {
-	g, _ := diamond()
-	r := NewRouter(g, 0, 1)
-	for name, fn := range map[string]func(){
-		"bad initial":    func() { NewRouter(g, 0, 0) },
-		"bad cost":       func() { r.Update(0, -1) },
-		"batch mismatch": func() { r.UpdateBatch([]topology.LinkID{0}, nil) },
-		"batch bad cost": func() { r.UpdateBatch([]topology.LinkID{0}, []float64{math.NaN()}) },
-	} {
-		t.Run(name, func(t *testing.T) {
-			defer func() {
-				if recover() == nil {
-					t.Errorf("%s should panic", name)
-				}
-			}()
-			fn()
-		})
-	}
-}
-
 func TestAllPairsHops(t *testing.T) {
 	g := topology.Ring(6, topology.T56)
 	m := AllPairsHops(g)
@@ -300,8 +188,7 @@ func TestAllPairsHops(t *testing.T) {
 }
 
 // Property: Dijkstra on random graphs satisfies the triangle inequality
-// dist(d) <= dist(u) + cost(u→d) for every link, and incremental Router
-// updates always agree with a from-scratch recomputation.
+// dist(d) <= dist(u) + cost(u→d) for every link.
 func TestDijkstraProperty(t *testing.T) {
 	f := func(seed int64) bool {
 		g := topology.Random(12, 3, seed)
@@ -309,33 +196,6 @@ func TestDijkstraProperty(t *testing.T) {
 		tree := Compute(g, 0, cost)
 		for _, l := range g.Links() {
 			if tree.Dist(l.To) > tree.Dist(l.From)+cost(l.ID)+1e-9 {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestRouterMatchesScratchProperty(t *testing.T) {
-	f := func(seed int64, updates []uint16) bool {
-		g := topology.Random(8, 2.5, seed)
-		r := NewRouter(g, 0, 3)
-		costs := make([]float64, g.NumLinks())
-		for i := range costs {
-			costs[i] = 3
-		}
-		for _, u := range updates {
-			l := topology.LinkID(int(u) % g.NumLinks())
-			c := 1 + float64(u%29)
-			r.Update(l, c)
-			costs[l] = c
-		}
-		scratch := Compute(g, 0, func(l topology.LinkID) float64 { return costs[l] })
-		for d := 0; d < g.NumNodes(); d++ {
-			if math.Abs(scratch.Dist(topology.NodeID(d))-r.Tree().Dist(topology.NodeID(d))) > 1e-9 {
 				return false
 			}
 		}

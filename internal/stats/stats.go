@@ -140,9 +140,6 @@ func (h *Histogram) Mean() float64 { return h.w.Mean() }
 // Bucket returns the count in bucket i.
 func (h *Histogram) Bucket(i int) int64 { return h.buckets[i] }
 
-// NumBuckets returns the number of buckets.
-func (h *Histogram) NumBuckets() int { return len(h.buckets) }
-
 // Outliers returns how many observations fell below Lo and at/above Hi.
 func (h *Histogram) Outliers() (under, over int64) { return h.under, h.over }
 

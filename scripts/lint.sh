@@ -2,7 +2,9 @@
 # Run the domain static-analysis suite (cmd/arpanetlint) over the whole
 # repository: determinism (interprocedural), pool-safety, sim.Handle
 # discipline, float comparison hygiene, domain error checking, hot-path
-# allocation freedom and shard-barrier invariants.
+# allocation freedom and shard-barrier invariants. Every run computes the
+# interprocedural effect summaries from scratch and writes nothing to the
+# tree.
 #
 # Usage:
 #   scripts/lint.sh               # whole repo, human-readable
@@ -23,11 +25,6 @@
 set -uo pipefail
 cd "$(dirname "$0")/.."
 
-# The effect-summary cache makes warm runs cheap; it is keyed by package
-# content hash so a stale cache can only cause extra work, never wrong
-# results. It lives untracked at the module root (see .gitignore).
-CACHE=.arpanetlint.cache.json
-
 # Build a real binary instead of `go run`: go run collapses any nonzero
 # child exit into its own exit 1, which would erase the findings(1) vs
 # driver-error(2) distinction below.
@@ -36,7 +33,7 @@ trap 'rm -rf "$BINDIR"' EXIT
 go build -o "$BINDIR/arpanetlint" ./cmd/arpanetlint || exit 2
 
 echo "arpanetlint: json schema version $("$BINDIR/arpanetlint" -schema)"
-"$BINDIR/arpanetlint" -cache "$CACHE" "$@" ./...
+"$BINDIR/arpanetlint" "$@" ./...
 status=$?
 case "$status" in
   0) echo "lint: clean" ;;
