@@ -59,7 +59,9 @@ func main() {
 	if *seeds < 1 {
 		log.Fatal("-seeds must be >= 1")
 	}
-	if err := checkShardFlags(*shardsN, *adaptive, *metricName, *scenFile, *backgroundK); err != nil {
+	set := map[string]bool{}
+	flag.Visit(func(f *flag.Flag) { set[f.Name] = true })
+	if err := checkShardFlags(*shardsN, *adaptive, *metricName, *scenFile, *backgroundK, set); err != nil {
 		log.Fatal(err)
 	}
 	if *shardsN > 0 {

@@ -14,8 +14,9 @@ package main
 // protocol implemented only by the packet-level engine, so that leg runs
 // unsharded over the identical offered traffic.
 //
-// -scenario and -background are rejected in this mode, as is -metric
-// without -adaptive.
+// -scenario, -background and the Table 1 study's flags (-traffic, -growth,
+// -warmup, -seeds, -json, -background-epoch) are rejected in this mode, as
+// is -metric without -adaptive.
 
 import (
 	"errors"
@@ -71,14 +72,30 @@ func parseGenTopology(spec string, seed int64) (*topology.Graph, error) {
 	}
 }
 
+// tableOnlyFlags are the Table 1 study's flags, which the sharded runner
+// has no use for; shardOnlyFlags are the reverse.
+var (
+	tableOnlyFlags = []string{"traffic", "growth", "warmup", "seeds", "json", "background-epoch"}
+	shardOnlyFlags = []string{"rate", "dests", "radius"}
+)
+
 // checkShardFlags rejects flag combinations that would otherwise be
-// ignored without a word: the sharded runner has no fault scripts and no
-// fluid background, its static routing takes no -metric, and -adaptive
-// exists only for it.
-func checkShardFlags(shards int, adaptive bool, metric, scenario string, backgroundK float64) error {
+// ignored without a word: the sharded runner has no fault scripts, no
+// fluid background and none of the Table 1 study's knobs, its static
+// routing takes no -metric, and -adaptive and its traffic knobs exist only
+// for it. set holds the flags given explicitly on the command line.
+func checkShardFlags(shards int, adaptive bool, metric, scenario string, backgroundK float64, set map[string]bool) error {
 	if shards <= 0 {
 		if adaptive {
 			return errors.New("-adaptive requires -shards (the Table 1 study is always adaptive)")
+		}
+		for _, f := range shardOnlyFlags {
+			if set[f] {
+				return fmt.Errorf("-%s requires -shards (it sets the sharded runner's traffic)", f)
+			}
+		}
+		if set["background-epoch"] && backgroundK == 0 {
+			return errors.New("-background-epoch requires -background (there is no fluid background to re-route)")
 		}
 		return nil
 	}
@@ -89,6 +106,11 @@ func checkShardFlags(shards int, adaptive bool, metric, scenario string, backgro
 		return errors.New("-background cannot be combined with -shards (the fluid background runs on the Table 1 engine only)")
 	case !adaptive && metric != "both":
 		return fmt.Errorf("-metric %s requires -adaptive with -shards (static routing uses fixed link costs)", metric)
+	}
+	for _, f := range tableOnlyFlags {
+		if set[f] {
+			return fmt.Errorf("-%s cannot be combined with -shards (it applies to the Table 1 study only)", f)
+		}
 	}
 	return nil
 }

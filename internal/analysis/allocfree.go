@@ -66,6 +66,7 @@ var hotScopes = []struct {
 		"PacketPool.Get", "PacketPool.Put",
 		"Queue.Push", "Queue.Pop", "Queue.Scan",
 		"Measurement.Record", "Measurement.Take",
+		"Line.Start", "Line.Finish", "Line.Scan",
 	}},
 	{"internal/spf", []string{
 		"ComputeInto", "IncrementalRouter.Update", "IncrementalRouter.UpdateBatch",
@@ -74,7 +75,7 @@ var hotScopes = []struct {
 	{"internal/shard", []string{
 		"shardState.source", "shardState.handlePacket", "shardState.txDone",
 		"shardState.drain", "shardState.importWire", "shardState.deliverArrival",
-		"shardState.startTx", "lnode.adaptiveNextHop",
+		"lnode.adaptiveNextHop",
 	}},
 }
 
@@ -105,9 +106,9 @@ func (*AllocFree) Explain() string {
 
 It walks every function reachable (by static calls, within the package)
 from the registered hot roots — the sim kernel's schedule/dispatch path,
-the node pool and queues, the SPF workspace, and the shard engine's
-per-tick path — and flags each construct that the compiler must or may
-heap-allocate: make/new/append, map and slice literals, &T{} that
+the node pool, queues and output line, the SPF workspace, and the shard
+engine's per-tick path — and flags each construct that the compiler must
+or may heap-allocate: make/new/append, map and slice literals, &T{} that
 escapes, string concatenation and conversions, closures that escape,
 interface boxing of value-shaped operands, variadic argument slices, and
 go statements. Calls to functions in the same module are judged by their

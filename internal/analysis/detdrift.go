@@ -9,14 +9,16 @@ import (
 
 // DeterministicPackages lists the import-path suffixes of packages whose
 // behaviour must be a pure function of their inputs and seeds: the event
-// kernel, both routers, the fluid background router, the flooding and
-// updating protocols, the network model, the scenario engine, and the
+// kernel, the PSN building blocks (queue, output line, measurement), both
+// routers, the fluid background router, the flooding and updating
+// protocols, both packet engines, the scenario engine, and the
 // randomized-but-seeded correctness harness. Golden traces, RunBatch
 // worker-count independence and the differential oracles all assume it.
 // A package outside this list can opt in with a "// lint:deterministic"
 // comment in any of its files.
 var DeterministicPackages = []string{
 	"internal/sim",
+	"internal/node",
 	"internal/spf",
 	"internal/updating",
 	"internal/flooding",

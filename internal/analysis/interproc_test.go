@@ -243,3 +243,82 @@ func BenchmarkLintRepo(b *testing.B) {
 		}
 	}
 }
+
+// analyzeNodeOverlay lints internal/node under one rule with overlay files
+// planted in the package directory. Each value is either a whole file or,
+// for line.go, the real file with one edit applied (old → new; the edit
+// must apply, so the probe cannot silently stop testing anything).
+func analyzeNodeOverlay(t *testing.T, rule string, files map[string]string, lineEdit [2]string) []analysis.Diagnostic {
+	t.Helper()
+	root := moduleRoot(t)
+	dir := filepath.Join(root, "internal", "node")
+	l, err := analysis.NewLoader(root)
+	if err != nil {
+		t.Fatal(err)
+	}
+	l.Overlay = map[string][]byte{}
+	for name, src := range files {
+		l.Overlay[filepath.Join(dir, name)] = []byte(src)
+	}
+	if lineEdit[0] != "" {
+		src, err := os.ReadFile(filepath.Join(dir, "line.go"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Contains(src, []byte(lineEdit[0])) {
+			t.Fatalf("line.go no longer contains %q; update the probe", lineEdit[0])
+		}
+		l.Overlay[filepath.Join(dir, "line.go")] = bytes.Replace(src, []byte(lineEdit[0]), []byte(lineEdit[1]), 1)
+	}
+	res, err := analysis.AnalyzeWith(l, []string{"internal/node"}, []string{rule})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Errors) > 0 {
+		t.Fatalf("overlay failed to load: %v", res.Errors)
+	}
+	return res.Findings
+}
+
+// requireFinding fails unless findings hold one of rule in file whose
+// message contains msg.
+func requireFinding(t *testing.T, findings []analysis.Diagnostic, rule, file, msg string) {
+	t.Helper()
+	for _, d := range findings {
+		if d.Rule == rule && d.File == file && strings.Contains(d.Message, msg) {
+			return
+		}
+	}
+	t.Fatalf("no %s finding in %s containing %q; findings: %v", rule, file, msg, findings)
+}
+
+// TestInjectedMissingTxFloorCaught: deleting the 1-tick transmit floor
+// from node.Line.Start must be a shardsafe finding at line.go — the
+// sharded engine's lookahead contract runs through that schedule call,
+// so the file carries the lint:shardsafe directive.
+func TestInjectedMissingTxFloorCaught(t *testing.T) {
+	findings := analyzeNodeOverlay(t, "shardsafe", nil,
+		[2]string{"\tif tx < 1 {\n\t\ttx = 1\n\t}\n", ""})
+	requireFinding(t, findings, "shardsafe", "internal/node/line.go",
+		"schedule timestamp uses a FromSeconds-derived delay without the 1-tick floor")
+}
+
+// TestInjectedLineFinishAllocCaught: an allocation planted in
+// node.Line.Finish, the per-packet completion both engines run, must be
+// an allocfree finding — Line's start/finish/scan are registered roots.
+func TestInjectedLineFinishAllocCaught(t *testing.T) {
+	const sig = "func (l *Line) Finish(now sim.Time) *Packet {\n"
+	findings := analyzeNodeOverlay(t, "allocfree", nil,
+		[2]string{sig, sig + "\t_ = make([]int, 1)\n"})
+	requireFinding(t, findings, "allocfree", "internal/node/line.go", "hot path allocates: make([]int)")
+}
+
+// TestInjectedNodeWallClockCaught: internal/node is a deterministic
+// package, so a wall-clock read planted there must be a detdrift finding.
+func TestInjectedNodeWallClockCaught(t *testing.T) {
+	findings := analyzeNodeOverlay(t, "detdrift", map[string]string{
+		"zz_injected.go": "package node\n\nimport \"time\"\n\n" +
+			"func zzInjectedClock() int64 { return time.Now().UnixNano() }\n",
+	}, [2]string{})
+	requireFinding(t, findings, "detdrift", "internal/node/zz_injected.go", "wall-clock time.Now")
+}

@@ -65,10 +65,10 @@ func (c Conservation) Err() error {
 }
 
 // Conservation computes the current packet ledger. The in-flight term is
-// counted by walking the queues and transmitters plus the propagation
-// counter — independently of the terminal counters — so a packet destroyed
-// without being booked into a drop class unbalances the ledger instead of
-// hiding.
+// counted by walking every output line (queue and transmitter) plus the
+// propagation counter — independently of the terminal counters — so a
+// packet destroyed without being booked into a drop class unbalances the
+// ledger instead of hiding.
 func (n *Network) Conservation() Conservation {
 	c := Conservation{
 		Offered:      n.offeredPkts.Value(),
@@ -79,16 +79,12 @@ func (n *Network) Conservation() Conservation {
 		OutageDrops:  n.outageDrops.Value(),
 		InFlight:     int64(n.propCounted),
 	}
-	counted := func(p *node.Packet) bool { return !p.IsRouting() && p.Counted }
 	for _, ls := range n.links {
-		ls.queue.Scan(func(p *node.Packet) {
-			if counted(p) {
+		ls.Scan(func(p *node.Packet) {
+			if !p.IsRouting() && p.Counted {
 				c.InFlight++
 			}
 		})
-		if ls.txPkt != nil && counted(ls.txPkt) {
-			c.InFlight++
-		}
 	}
 	return c
 }
@@ -99,49 +95,22 @@ func (n *Network) Conservation() Conservation {
 func (n *Network) RoutingInFlight() int {
 	inFlight := n.propRouting
 	for _, ls := range n.links {
-		ls.queue.Scan(func(p *node.Packet) {
+		ls.Scan(func(p *node.Packet) {
 			if p.IsRouting() {
 				inFlight++
 			}
 		})
-		if ls.txPkt != nil && ls.txPkt.IsRouting() {
-			inFlight++
-		}
 	}
 	return inFlight
 }
 
-// TransmitterAudit checks the single-transmitter-per-link invariant: a busy
-// link has exactly one in-flight packet and one pending completion event, an
-// idle link has neither, a down link transmits nothing and holds no backlog,
-// and an idle up link has no backlog (the transmitter is work-conserving).
+// TransmitterAudit checks the single-transmitter invariant (node.Line.Audit)
+// on every link.
 func (n *Network) TransmitterAudit() error {
 	for _, ls := range n.links {
-		name := fmt.Sprintf("link %d (%s->%s)", ls.link.ID,
-			n.g.Node(ls.link.From).Name, n.g.Node(ls.link.To).Name)
-		if ls.busy {
-			if ls.down {
-				return fmt.Errorf("%s: transmitting while down", name)
-			}
-			if ls.txPkt == nil {
-				return fmt.Errorf("%s: busy with no in-flight packet", name)
-			}
-			if !ls.txEvent.Pending() {
-				return fmt.Errorf("%s: busy with no pending completion event", name)
-			}
-		} else {
-			if ls.txPkt != nil {
-				return fmt.Errorf("%s: idle with an in-flight packet", name)
-			}
-			if ls.txEvent.Pending() {
-				return fmt.Errorf("%s: idle with a pending completion event (double transmitter)", name)
-			}
-			if !ls.down && ls.queue.Len() > 0 {
-				return fmt.Errorf("%s: idle with %d queued packets", name, ls.queue.Len())
-			}
-		}
-		if ls.down && ls.queue.Len() > 0 {
-			return fmt.Errorf("%s: down with %d queued packets", name, ls.queue.Len())
+		if err := ls.Audit(); err != nil {
+			return fmt.Errorf("link %d (%s->%s): %w", ls.link.ID,
+				n.g.Node(ls.link.From).Name, n.g.Node(ls.link.To).Name, err)
 		}
 	}
 	return nil
@@ -204,7 +173,7 @@ func (n *Network) components() []int {
 			u := queue[0]
 			queue = queue[1:]
 			for _, l := range n.g.Out(u) {
-				if n.links[l].down {
+				if n.links[l].Down() {
 					continue
 				}
 				if v := n.g.Link(l).To; comp[v] < 0 {

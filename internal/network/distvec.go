@@ -62,12 +62,12 @@ func (n *Network) dvRecompute(p *psn) {
 		bestLink := topology.NoLink
 		for _, lid := range n.g.Out(self) {
 			v := s.nbr[lid]
-			if v == nil || n.links[lid].down {
+			if v == nil || n.links[lid].Down() {
 				continue
 			}
 			// §2.1: "the link metric... was simply the instantaneous queue
 			// length at the moment of updating plus a fixed constant."
-			c := float64(n.links[lid].queue.Len()) + metric.QueueLengthConstant
+			c := float64(n.links[lid].Queue.Len()) + metric.QueueLengthConstant
 			if est := c + v[d]; est < best {
 				best = est
 				bestLink = lid
@@ -88,7 +88,7 @@ func (n *Network) dvExchange(p *psn, now sim.Time) {
 	vec := &node.Vector{Origin: p.id, Dist: append([]float64(nil), p.dv.dist...)}
 	size := float64(128 + dvEntryBits*len(vec.Dist))
 	for _, l := range n.g.Out(p.id) {
-		if n.links[l].down {
+		if n.links[l].Down() {
 			continue
 		}
 		n.pktSeq++

@@ -71,14 +71,13 @@ type Config struct {
 	QueueLimit int
 	// Warmup: statistics before this time are discarded.
 	Warmup sim.Time
-	// SampleInterval for link-utilization series (1 s if zero).
-	SampleInterval sim.Time
 	// ModuleFactory overrides the per-link cost module (nil = build from
 	// Metric). Used by the ablation experiments to run modified HNMs.
 	ModuleFactory func(l topology.Link) node.CostModule
 	// Multipath enables equal-cost multipath forwarding (§4.5): packets
 	// spread randomly over every first hop on a minimum-cost path. This is
-	// the paper's "future work" remedy for large single flows.
+	// the paper's "future work" remedy for large single flows. It needs an
+	// SPF metric: New panics when it is combined with BF1969.
 	Multipath bool
 	// Trace, when non-nil, receives loss/routing events (bounded ring).
 	Trace *trace.Ring
@@ -120,9 +119,6 @@ type Network struct {
 	// releases into it, which is exactly why recycling is safe — a packet
 	// the ledger still counts as in flight can never reach a Put.
 	pool node.PacketPool
-	// propFree recycles the propagation-event records (packet + link pairs
-	// riding the wire between txDone and the far-end handlePacket).
-	propFree *propEntry
 
 	// Bound callbacks for the closure-free kernel API, created once in New
 	// so the hot path never allocates a closure per event.
@@ -177,52 +173,18 @@ type psn struct {
 	fwd []topology.LinkID // scratch for flood forwarding
 }
 
-// propEntry carries one packet across a link's propagation delay: the
-// argument of the shared propArrive callback. Entries are recycled through
-// the network's free-list.
-type propEntry struct {
-	pkt  *node.Packet
-	ls   *linkState
-	next *propEntry
-}
+// sampleInterval is the link-utilization sampling period.
+const sampleInterval = sim.Second
 
-func (n *Network) getProp() *propEntry {
-	e := n.propFree
-	if e == nil {
-		return &propEntry{}
-	}
-	n.propFree = e.next
-	e.next = nil
-	return e
-}
-
-func (n *Network) putProp(e *propEntry) {
-	e.pkt = nil
-	e.ls = nil
-	e.next = n.propFree
-	n.propFree = e
-}
-
+// linkState is one directed link: its PSN output line plus the engine's
+// propagation latency, flooding and utilization bookkeeping.
 type linkState struct {
-	link   topology.Link
-	queue  *node.Queue
-	module node.CostModule
-	meas   node.Measurement
-	busy   bool
-	down   bool
+	node.Line
+	link topology.Link
 
-	// Per-packet constants hoisted out of the transmit path: the line
-	// bandwidth (saves a line-type table lookup per transmission) and the
-	// fixed propagation + processing latency (saves a float conversion).
-	bandwidth float64
-	propLat   sim.Time
-
-	// In-flight transmission: the packet on the transmitter and the handle
-	// of its completion event, so SetTrunkDown can cancel the transmission
-	// instead of letting a stale txDone fire after a repair and start a
-	// second concurrent transmitter.
-	txPkt   *node.Packet
-	txEvent sim.Handle
+	// propLat is the fixed propagation + processing latency, hoisted out
+	// of the per-packet path (saves a float conversion).
+	propLat sim.Time
 
 	// lastFlooded is the cost most recently flooded for this link by its
 	// owning PSN (DownCost while out of service). The convergence auditor
@@ -233,7 +195,6 @@ type linkState struct {
 	series       *stats.Series
 	costSeries   *stats.Series
 	util         stats.Welford // sampled utilization (post-warmup)
-	txPackets    int64
 }
 
 // New builds a network ready to run. It validates the topology, creates
@@ -250,11 +211,11 @@ func New(cfg Config) *Network {
 	if cfg.Matrix.NumNodes() != cfg.Graph.NumNodes() {
 		panic("network: matrix size does not match graph")
 	}
+	if cfg.Multipath && cfg.Metric == node.BF1969 {
+		panic("network: Multipath requires an SPF metric, not BF1969")
+	}
 	if cfg.QueueLimit == 0 {
 		cfg.QueueLimit = DefaultQueueLimit
-	}
-	if cfg.SampleInterval == 0 {
-		cfg.SampleInterval = sim.Second
 	}
 	n := &Network{
 		cfg:    cfg,
@@ -266,7 +227,7 @@ func New(cfg Config) *Network {
 	}
 	n.sourceFireFn = func(t sim.Time, a any) { n.sourceFire(a.(*psn), t) }
 	n.txDoneFn = func(t sim.Time, a any) { n.txDone(a.(*linkState), t) }
-	n.propArriveFn = func(t sim.Time, a any) { n.propArrive(a.(*propEntry), t) }
+	n.propArriveFn = func(t sim.Time, a any) { n.propArrive(a.(*node.Packet), t) }
 	n.measureFn = func(t sim.Time, a any) { n.measure(a.(*psn), t) }
 	n.dvExchangeFn = func(t sim.Time, a any) { n.dvExchange(a.(*psn), t) }
 
@@ -286,15 +247,10 @@ func New(cfg Config) *Network {
 				return node.NewCostModule(kind, l.Type, l.PropDelay)
 			}
 		}
-		ls := &linkState{
-			link:      l,
-			queue:     node.NewQueue(cfg.QueueLimit),
-			module:    mod(l),
-			bandwidth: l.Type.Bandwidth(),
-			propLat:   sim.FromSeconds(l.PropDelay) + node.ProcessingDelay,
-		}
+		ls := &linkState{link: l, propLat: sim.FromSeconds(l.PropDelay) + node.ProcessingDelay}
+		ls.Line = node.NewLine(cfg.QueueLimit, mod(l), l.Type.Bandwidth(), n.kernel, n.txDoneFn, ls)
 		n.links[i] = ls
-		initial[i] = ls.module.Cost()
+		initial[i] = ls.Module.Cost()
 		ls.lastFlooded = initial[i]
 	}
 
@@ -373,7 +329,7 @@ func (n *Network) setupBackground() {
 		n.cfg.BackgroundEpoch = node.MeasurementPeriod
 	}
 	n.bgCost = func(l topology.LinkID) float64 { return n.links[l].lastFlooded }
-	n.bgDown = func(l topology.LinkID) bool { return n.links[l].down }
+	n.bgDown = func(l topology.LinkID) bool { return n.links[l].Down() }
 	n.fluid = flowmodel.NewFluid(n.g, n.cfg.Background)
 	n.fluid.Reassign(n.bgCost, n.bgDown)
 	// Fire-and-forget: background re-routing runs for the lifetime of the
@@ -389,7 +345,7 @@ func (n *Network) setupBackground() {
 func (n *Network) multipathTol() float64 {
 	min := math.Inf(1)
 	for _, ls := range n.links {
-		if f := ls.module.Floor(); f < min {
+		if f := ls.Module.Floor(); f < min {
 			min = f
 		}
 	}
@@ -461,7 +417,7 @@ func (n *Network) TrackLink(l topology.LinkID) *stats.Series {
 
 // LinkCost returns the cost currently advertised by the link's metric
 // module.
-func (n *Network) LinkCost(l topology.LinkID) float64 { return n.links[l].module.Cost() }
+func (n *Network) LinkCost(l topology.LinkID) float64 { return n.links[l].Module.Cost() }
 
 // TrackLinkCost records the link's advertised cost once per sample
 // interval; call before Run.
@@ -578,7 +534,7 @@ func (n *Network) handlePacket(p *psn, pkt *node.Packet, now sim.Time) {
 		return
 	}
 	nh := p.nextHop(pkt.Dst)
-	if nh == topology.NoLink || n.links[nh].down {
+	if nh == topology.NoLink || n.links[nh].Down() {
 		if pkt.Counted {
 			n.noRouteDrops.Inc()
 		}
@@ -591,7 +547,7 @@ func (n *Network) handlePacket(p *psn, pkt *node.Packet, now sim.Time) {
 
 func (n *Network) enqueue(ls *linkState, pkt *node.Packet, now sim.Time) {
 	pkt.Enqueued = now
-	if !ls.queue.Push(pkt) {
+	if !ls.Queue.Push(pkt) {
 		if pkt.Counted {
 			n.bufferDrops.Inc()
 		}
@@ -599,82 +555,42 @@ func (n *Network) enqueue(ls *linkState, pkt *node.Packet, now sim.Time) {
 		n.pool.Put(pkt)
 		return
 	}
-	n.startTx(ls, now)
+	ls.Start(now)
 }
 
-// startTx begins transmitting the next queued packet, if the link is up and
-// the transmitter idle. The busy guard is load-bearing: without it a stale
-// completion event surviving a down→up flap would start a second concurrent
-// transmitter and the trunk would run at 2× bandwidth forever after.
-func (n *Network) startTx(ls *linkState, now sim.Time) {
-	if ls.busy || ls.down {
-		return
-	}
-	pkt := ls.queue.Pop()
-	if pkt == nil {
-		return
-	}
-	ls.busy = true
-	ls.txPkt = pkt
-	txTime := sim.FromSeconds(pkt.SizeBits / ls.bandwidth)
-	ls.txEvent = n.kernel.ScheduleCall(txTime, n.txDoneFn, ls)
-}
-
+// txDone completes one transmission and puts the packet on the wire toward
+// the far-end PSN, carrying the link it crossed in Arrival.
 func (n *Network) txDone(ls *linkState, now sim.Time) {
-	pkt := ls.txPkt
-	if !ls.busy || pkt == nil {
-		// Stale completion: the transmission was cancelled by an outage
-		// after this event was already committed. SetTrunkDown cancels the
-		// handle so this should be unreachable; the guard keeps a missed
-		// cancellation from double-starting the transmitter.
-		return
+	pkt := ls.Finish(now)
+	if pkt == nil {
+		return // stale completion (see node.Line.Finish)
 	}
-	ls.busy = false
-	ls.txPkt = nil
-	ls.txEvent = sim.Handle{}
-	// §2.2 measurement: queueing (+ transmission) delay, plus the fixed
-	// processing term. Propagation is tabled inside the metric module.
-	ls.meas.Record((now - pkt.Enqueued).Seconds() + node.ProcessingDelay.Seconds())
 	ls.txBitsWindow += pkt.SizeBits
-	ls.txPackets++
 	if pkt.IsRouting() {
 		if n.warmed {
 			n.updateTx.Inc()
 			n.routingBits += pkt.SizeBits
 		}
+		n.propRouting++
+	} else if pkt.Counted {
+		n.propCounted++
 	}
-	pkt.Hops++
-	if ls.down {
-		// The trunk failed mid-transmission and the completion was not
-		// cancelled (unreachable today; kept so the packet can never vanish
-		// uncounted if a future code path forgets the cancel).
-		n.dropOutage(ls, pkt, now)
-	} else {
-		if pkt.IsRouting() {
-			n.propRouting++
-		} else if pkt.Counted {
-			n.propCounted++
-		}
-		e := n.getProp()
-		e.pkt, e.ls = pkt, ls
-		// Fire-and-forget: a packet on the wire is past cancellation; an
-		// outage mid-propagation is handled at arrival, not by cancel.
-		_ = n.kernel.ScheduleCall(ls.propLat, n.propArriveFn, e)
-	}
-	n.startTx(ls, now)
+	pkt.Arrival = ls.link.ID
+	// Fire-and-forget: a packet on the wire is past cancellation; an outage
+	// mid-propagation is handled at arrival, not by cancel.
+	_ = n.kernel.ScheduleCall(ls.propLat, n.propArriveFn, pkt)
+	ls.Start(now)
 }
 
 // propArrive completes one link traversal: the packet reaches the far-end
 // PSN after the propagation and processing delays.
-func (n *Network) propArrive(e *propEntry, now sim.Time) {
-	pkt, ls := e.pkt, e.ls
-	n.putProp(e)
+func (n *Network) propArrive(pkt *node.Packet, now sim.Time) {
 	if pkt.IsRouting() {
 		n.propRouting--
 	} else if pkt.Counted {
 		n.propCounted--
 	}
-	n.handlePacket(n.psns[ls.link.To], pkt, now)
+	n.handlePacket(n.psns[n.links[pkt.Arrival].link.To], pkt, now)
 }
 
 // dropOutage accounts one packet destroyed by a trunk failure. Routing
@@ -701,7 +617,7 @@ func (n *Network) handleUpdate(p *psn, pkt *node.Packet, now sim.Time) {
 	p.applyCosts(u.Links, u.Costs)
 	p.fwd = flooding.AppendForwardLinks(p.fwd[:0], n.g, p.id, pkt.Arrival)
 	for _, l := range p.fwd {
-		if n.links[l].down {
+		if n.links[l].Down() {
 			continue
 		}
 		n.pktSeq++
@@ -724,8 +640,8 @@ func (n *Network) originate(p *psn, now sim.Time) {
 	costs := make([]float64, 0, len(out))
 	for _, l := range out {
 		links = append(links, l)
-		c := n.links[l].module.Cost()
-		if n.links[l].down {
+		c := n.links[l].Module.Cost()
+		if n.links[l].Down() {
 			c = DownCost
 		}
 		costs = append(costs, c)
@@ -741,7 +657,7 @@ func (n *Network) originate(p *psn, now sim.Time) {
 	n.cfg.Trace.Add(trace.Event{At: now, Kind: trace.UpdateOriginate, Node: p.id, Link: topology.NoLink})
 	p.fwd = flooding.AppendForwardLinks(p.fwd[:0], n.g, p.id, topology.NoLink)
 	for _, l := range p.fwd {
-		if n.links[l].down {
+		if n.links[l].Down() {
 			continue
 		}
 		n.pktSeq++
@@ -772,14 +688,14 @@ func (n *Network) measure(p *psn, now sim.Time) {
 	report := false
 	for _, l := range n.g.Out(p.id) {
 		ls := n.links[l]
-		avg := ls.meas.Take()
-		if ls.down {
+		avg := ls.Meas.Take()
+		if ls.Down() {
 			continue
 		}
 		if n.fluid != nil {
 			avg = n.superpose(ls, avg)
 		}
-		if _, rep := ls.module.Update(avg); rep {
+		if _, rep := ls.Module.Update(avg); rep {
 			report = true
 		}
 	}
@@ -803,8 +719,9 @@ func (n *Network) superpose(ls *linkState, avg float64) float64 {
 	if bg <= 0 {
 		return avg
 	}
-	s := queueing.ServiceTime(ls.bandwidth)
-	rho := bg / ls.bandwidth
+	bw := ls.link.Type.Bandwidth()
+	s := queueing.ServiceTime(bw)
+	rho := bg / bw
 	if avg <= 0 {
 		if rho > queueing.MaxRho {
 			rho = queueing.MaxRho
@@ -818,12 +735,12 @@ func (n *Network) superpose(ls *linkState, avg float64) float64 {
 
 func (n *Network) scheduleSampling() {
 	// Fire-and-forget: sampling runs for the lifetime of the network.
-	_ = n.kernel.Every(n.cfg.SampleInterval, func(now sim.Time) {
-		dt := n.cfg.SampleInterval.Seconds()
+	_ = n.kernel.Every(sampleInterval, func(now sim.Time) {
+		dt := sampleInterval.Seconds()
 		for _, ls := range n.links {
 			u := ls.txBitsWindow / (ls.link.Type.Bandwidth() * dt)
 			ls.txBitsWindow = 0
-			if n.fluid != nil && !ls.down {
+			if n.fluid != nil && !ls.Down() {
 				// The fluid background occupies capacity the transmitter
 				// never sees; a dead trunk's stranded fluid counts nothing
 				// until the next epoch re-routes it.
@@ -833,9 +750,9 @@ func (n *Network) scheduleSampling() {
 				ls.series.Add(now.Seconds(), u)
 			}
 			if ls.costSeries != nil {
-				ls.costSeries.Add(now.Seconds(), ls.module.Cost())
+				ls.costSeries.Add(now.Seconds(), ls.Module.Cost())
 			}
-			if n.warmed && !ls.down {
+			if n.warmed && !ls.Down() {
 				ls.util.Add(u)
 			}
 		}
@@ -852,35 +769,18 @@ func (n *Network) startMeasuring() {
 // SetTrunkDown takes both directions of the trunk containing link l out of
 // service and floods the news from both ends. Packets on the transmitters
 // and in the output queues are destroyed by the outage and counted as
-// outage drops — they do not vanish from the conservation ledger, and no
-// stale completion event survives to double-start a transmitter after a
-// repair. A no-op on a trunk that is already down.
+// outage drops (node.Line.Fail) — they do not vanish from the conservation
+// ledger, and no stale completion event survives to double-start a
+// transmitter after a repair. A no-op on a trunk that is already down.
 func (n *Network) SetTrunkDown(l topology.LinkID) {
-	if n.links[l].down {
+	if n.links[l].Down() {
 		return
 	}
 	now := n.kernel.Now()
 	n.cfg.Trace.Add(trace.Event{At: now, Kind: trace.LinkDown, Node: n.g.Link(l).From, Link: l})
 	for _, id := range []topology.LinkID{l, n.g.Link(l).Reverse()} {
 		ls := n.links[id]
-		ls.down = true
-		// Cancel the in-flight transmission; the packet is lost.
-		if ls.busy {
-			ls.txEvent.Cancel()
-			n.dropOutage(ls, ls.txPkt, now)
-			ls.busy = false
-			ls.txPkt = nil
-			ls.txEvent = sim.Handle{}
-		}
-		// Flush the backlog into the outage-drop class. Nothing can be
-		// enqueued while the link is down, so the queue stays empty until
-		// the repair — and the first post-repair measurement period cannot
-		// be polluted by stale pre-outage Enqueued timestamps.
-		for pkt := ls.queue.Pop(); pkt != nil; pkt = ls.queue.Pop() {
-			n.dropOutage(ls, pkt, now)
-		}
-		// Discard partial delay samples from before the outage.
-		ls.meas.Take()
+		ls.Fail(func(p *node.Packet) { n.dropOutage(ls, p, now) })
 	}
 	n.originate(n.psns[n.g.Link(l).From], now)
 	n.originate(n.psns[n.g.Link(l).To], now)
@@ -890,16 +790,13 @@ func (n *Network) SetTrunkDown(l topology.LinkID) {
 // HN-SPF link comes back at its maximum cost and eases in (§5.4). A no-op
 // on a trunk that is already up.
 func (n *Network) SetTrunkUp(l topology.LinkID) {
-	if !n.links[l].down {
+	if !n.links[l].Down() {
 		return
 	}
 	now := n.kernel.Now()
 	n.cfg.Trace.Add(trace.Event{At: now, Kind: trace.LinkUp, Node: n.g.Link(l).From, Link: l})
 	for _, id := range []topology.LinkID{l, n.g.Link(l).Reverse()} {
-		ls := n.links[id]
-		ls.down = false
-		ls.module.Reset()
-		ls.meas.Take()
+		n.links[id].Restore()
 	}
 	// Flooding the repair enqueues the updates on the restored trunk itself,
 	// which restarts its transmitter.
@@ -908,4 +805,4 @@ func (n *Network) SetTrunkUp(l topology.LinkID) {
 }
 
 // LinkIsDown reports whether the link is currently out of service.
-func (n *Network) LinkIsDown(l topology.LinkID) bool { return n.links[l].down }
+func (n *Network) LinkIsDown(l topology.LinkID) bool { return n.links[l].Down() }

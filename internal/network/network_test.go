@@ -98,6 +98,9 @@ func TestConfigPanics(t *testing.T) {
 		"nil graph":       {Matrix: traffic.NewMatrix(4)},
 		"nil matrix":      {Graph: g},
 		"matrix mismatch": {Graph: g, Matrix: traffic.NewMatrix(7)},
+		// Multipath forwards over SPF DAGs; BF1969 routes by distance vector
+		// and has none, so the pair must not silently run plain BF1969.
+		"multipath with BF1969": {Graph: g, Matrix: traffic.NewMatrix(4), Metric: node.BF1969, Multipath: true},
 	} {
 		t.Run(name, func(t *testing.T) {
 			defer func() {

@@ -19,7 +19,7 @@ import (
 // transmitter is mid-packet (or the deadline passes).
 func stepUntilBusy(t *testing.T, n *Network, l topology.LinkID, deadline sim.Time) {
 	t.Helper()
-	for !n.links[l].busy {
+	for !n.links[l].Busy() {
 		if n.kernel.Now() > deadline || !n.kernel.Step() {
 			t.Fatalf("link %d never started transmitting before %v", l, deadline)
 		}
@@ -100,11 +100,11 @@ func TestOutageDropAccounting(t *testing.T) {
 
 			ls := n.links[l]
 			inFlight := int64(0)
-			if ls.txPkt != nil && ls.txPkt.Counted && !ls.txPkt.IsRouting() {
+			if tx := ls.Transmitting(); tx != nil && tx.Counted && !tx.IsRouting() {
 				inFlight = 1
 			}
 			queued := int64(0)
-			ls.queue.Scan(func(p *node.Packet) {
+			ls.Queue.Scan(func(p *node.Packet) {
 				if p.Counted && !p.IsRouting() {
 					queued++
 				}
@@ -118,11 +118,11 @@ func TestOutageDropAccounting(t *testing.T) {
 				t.Errorf("outage drops = %d after failure, want %d (1 in flight + %d queued)",
 					got, inFlight+queued, queued)
 			}
-			if ls.busy || ls.txPkt != nil || ls.txEvent.Pending() {
+			if ls.Busy() || ls.Transmitting() != nil || ls.CompletionPending() {
 				t.Error("transmitter not fully cancelled by SetTrunkDown")
 			}
-			if ls.queue.Len() != 0 {
-				t.Errorf("queue holds %d packets after SetTrunkDown, want 0", ls.queue.Len())
+			if ls.Queue.Len() != 0 {
+				t.Errorf("queue holds %d packets after SetTrunkDown, want 0", ls.Queue.Len())
 			}
 			auditAll(t, n, "after failure")
 
@@ -148,7 +148,7 @@ func TestRepairMeasurementNotPolluted(t *testing.T) {
 
 	n.SetTrunkDown(l)
 	ls := n.links[l]
-	if c := ls.meas.Count(); c != 0 {
+	if c := ls.Meas.Count(); c != 0 {
 		t.Errorf("measurement accumulator holds %d samples across the outage, want 0", c)
 	}
 	// A minute later the trunk returns; the accumulator must still be
@@ -156,12 +156,12 @@ func TestRepairMeasurementNotPolluted(t *testing.T) {
 	// state, so the first post-repair period measures only fresh traffic.
 	n.Run(n.kernel.Now() + 60*sim.Second)
 	n.SetTrunkUp(l)
-	if c := ls.meas.Count(); c != 0 {
+	if c := ls.Meas.Count(); c != 0 {
 		t.Errorf("measurement accumulator holds %d stale samples at repair, want 0", c)
 	}
-	before := ls.module.Cost()
+	before := ls.Module.Cost()
 	n.Run(n.kernel.Now() + node.MeasurementPeriod + sim.Second)
-	after := ls.module.Cost()
+	after := ls.Module.Cost()
 	// HN-SPF resets to its ceiling and walks down by at most one movement
 	// limit per period; a polluted measurement could not lower it faster,
 	// but a stale-backlog transmission burst would show up as cost *above*

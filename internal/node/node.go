@@ -3,10 +3,11 @@
 // delay-measurement accumulator of §2.2 ("For every packet the PSN receives
 // and forwards, it measures queueing and processing delay to which it adds
 // tabled values of transmission and propagation delay... it averages this
-// total delay over a ten-second period"), and the cost-module abstraction
-// that lets a network run with the HNM, the delay metric, or min-hop.
+// total delay over a ten-second period"), the cost-module abstraction
+// that lets a network run with the HNM, the delay metric, or min-hop, and
+// the output line (Line) that ties them to a link's single transmitter.
 //
-// internal/network wires these into the event loop.
+// internal/network and internal/shard wire these into their event loops.
 package node
 
 import (

@@ -49,7 +49,7 @@ const ctrlSeqBit = uint64(1) << 63
 func (s *Sim) bootAdaptive() {
 	initial := make([]float64, s.g.NumLinks())
 	for lid, ls := range s.linkAt {
-		initial[lid] = ls.module.Cost()
+		initial[lid] = ls.Module.Cost()
 	}
 	for id, n := range s.nodeAt {
 		n.router = spf.NewIncrementalRouter(s.g, topology.NodeID(id), initial)
@@ -65,7 +65,7 @@ func (s *Sim) bootAdaptive() {
 // epoch boundary.
 func (n *lnode) adaptiveNextHop(dst topology.NodeID) topology.LinkID {
 	lid := n.router.Tree().NextHop(dst)
-	if lid == topology.NoLink || n.sh.s.linkAt[lid].down {
+	if lid == topology.NoLink || n.sh.s.linkAt[lid].Down() {
 		return topology.NoLink
 	}
 	return lid
@@ -80,12 +80,12 @@ func (sh *shardState) measureAdaptive(n *lnode, now sim.Time) {
 	sample := sh.s.cfg.MeasureSample
 	report := false
 	for _, ls := range n.out {
-		count := ls.meas.Count()
-		avg := ls.meas.Take()
-		if ls.down {
+		count := ls.Meas.Count()
+		avg := ls.Meas.Take()
+		if ls.Down() {
 			continue
 		}
-		cost, rep := ls.module.Update(avg)
+		cost, rep := ls.Module.Update(avg)
 		if rep {
 			report = true
 		}
@@ -110,8 +110,8 @@ func (sh *shardState) originate(n *lnode, now sim.Time) {
 	costs := make([]float64, 0, len(n.out))
 	for _, ls := range n.out {
 		links = append(links, ls.l.ID)
-		c := ls.module.Cost()
-		if ls.down {
+		c := ls.Module.Cost()
+		if ls.Down() {
 			c = network.DownCost
 		}
 		costs = append(costs, c)
@@ -153,7 +153,7 @@ func (sh *shardState) handleUpdate(n *lnode, p *node.Packet, now sim.Time) {
 func (sh *shardState) forwardUpdate(n *lnode, u *flooding.Update, created, now sim.Time) {
 	for _, lid := range n.fwd {
 		ls := sh.s.linkAt[lid]
-		if ls.down {
+		if ls.Down() {
 			continue
 		}
 		p := sh.pool.Get()
@@ -164,11 +164,9 @@ func (sh *shardState) forwardUpdate(n *lnode, u *flooding.Update, created, now s
 		p.Update = u
 		p.Arrival = ls.l.ID // the link this copy will traverse
 		p.Enqueued = now
-		ls.q.Push(p)
+		ls.Queue.Push(p)
 		sh.led.CtrlGenerated++
-		if !ls.busy {
-			sh.startTx(ls, now)
-		}
+		ls.Start(now)
 	}
 }
 

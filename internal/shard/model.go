@@ -1,11 +1,15 @@
 package shard
 
-// The per-shard traffic model: Poisson sources, finite FIFO output queues,
-// store-and-forward transmission, per-link delay measurement feeding a cost
-// module, and scripted trunk faults. This is a lean replica of
-// internal/network's data plane, built so that every event a node observes
-// is independent of the partition (see the package comment for the ordering
-// rules it follows). With Config.Adaptive the static per-epoch tables are
+// The per-shard traffic model: Poisson sources, forwarding, propagation
+// and arrival, and scripted trunk faults. Each directed link's output line —
+// queue, transmitter, §2.2 delay measurement, cost module and up/down
+// state — is a node.Line, the same one internal/network embeds; this file
+// adds what the sharded runner does differently, all of it built so that
+// every event a node observes is independent of the partition (see the
+// package comment for the ordering rules it follows): per-node splitmix64
+// sources over a fixed destination set, propagation floored at one tick,
+// arrivals buffered in (time, link) order and drained as tail events, and
+// cross-shard wires. With Config.Adaptive the static per-epoch tables are
 // replaced by the full adaptive routing plane of adaptive.go.
 
 import (
@@ -90,22 +94,15 @@ type pendArr struct {
 	pkt  *node.Packet
 }
 
-// llink is one directed link's shard-local state. It lives in the shard of
-// its From node; To may be remote, in which case completed transmissions
-// export over the wire instead of buffering an arrival.
+// llink is one directed link's shard-local state: its PSN output line plus
+// the propagation leg. It lives in the shard of its From node; To may be
+// remote, in which case completed transmissions export over the wire
+// instead of buffering an arrival.
 type llink struct {
+	node.Line
 	l       topology.Link
-	bw      float64  // bits/second
 	propLat sim.Time // >= 1 tick
-	q       *node.Queue
-	busy    bool
-	down    bool
-	txPkt   *node.Packet
-	txEvent sim.Handle
-	toLocal *lnode // nil when To lives in another shard
-	meas    node.Measurement
-	module  node.CostModule
-	fwd     int64 // packets forwarded over this link
+	toLocal *lnode   // nil when To lives in another shard
 }
 
 // wire is one packet in transit between shards, fully serialized: the
@@ -228,13 +225,9 @@ func (s *Sim) buildLinks(id topology.NodeID) {
 	n := s.nodeAt[id]
 	for _, lid := range s.g.Out(id) {
 		l := s.g.Link(lid)
-		ls := &llink{
-			l:       l,
-			bw:      l.Type.Bandwidth(),
-			propLat: sim.FromSeconds(l.PropDelay),
-			q:       node.NewQueue(s.cfg.QueueLimit),
-			module:  node.NewCostModule(s.cfg.Metric, l.Type, l.PropDelay),
-		}
+		ls := &llink{l: l, propLat: sim.FromSeconds(l.PropDelay)}
+		ls.Line = node.NewLine(s.cfg.QueueLimit, node.NewCostModule(s.cfg.Metric, l.Type, l.PropDelay),
+			l.Type.Bandwidth(), sh.kernel, sh.txDoneCall, ls)
 		if ls.propLat < 1 {
 			ls.propLat = 1
 		}
@@ -323,7 +316,7 @@ func (sh *shardState) handlePacket(n *lnode, p *node.Packet, now sim.Time) {
 			sh.pool.Put(p)
 			return
 		}
-		if sh.s.linkAt[lid].down {
+		if sh.s.linkAt[lid].Down() {
 			sh.led.OutageDrops++
 			sh.dropRec(n, now, recOutageDrop, lid, p.Seq)
 			sh.pool.Put(p)
@@ -332,15 +325,13 @@ func (sh *shardState) handlePacket(n *lnode, p *node.Packet, now sim.Time) {
 	}
 	ls := sh.s.linkAt[lid]
 	p.Enqueued = now
-	if !ls.q.Push(p) {
+	if !ls.Queue.Push(p) {
 		sh.led.BufferDrops++
 		sh.dropRec(n, now, recBufferDrop, lid, p.Seq)
 		sh.pool.Put(p)
 		return
 	}
-	if !ls.busy {
-		sh.startTx(ls, now)
-	}
+	ls.Start(now)
 }
 
 // lint:alloc the trace record buffer grows amortized and is drained per window
@@ -353,37 +344,14 @@ func (sh *shardState) dropRec(n *lnode, now sim.Time, kind recKind, link topolog
 	n.rseq++
 }
 
-// startTx begins transmitting the queue head. Transmission time is at
-// least one tick, so the completion never collides with the event that
-// started it.
-func (sh *shardState) startTx(ls *llink, now sim.Time) {
-	p := ls.q.Pop()
-	if p == nil {
-		return
-	}
-	ls.busy = true
-	ls.txPkt = p
-	tx := sim.FromSeconds(p.SizeBits / ls.bw)
-	if tx < 1 {
-		tx = 1
-	}
-	h, err := sh.kernel.ScheduleCallAt(now+tx, sh.txDoneCall, ls)
-	if err != nil {
-		panic(fmt.Sprintf("shard: %v", err))
-	}
-	ls.txEvent = h
-}
-
-// txDone completes a transmission: records the measured delay, then either
-// buffers the arrival at the local peer or exports it over the wire.
+// txDone completes a transmission, then either buffers the arrival at the
+// local peer or exports it over the wire.
 func (sh *shardState) txDone(now sim.Time, arg any) {
 	ls := arg.(*llink)
-	p := ls.txPkt
-	ls.txPkt = nil
-	ls.busy = false
-	ls.meas.Record((now - p.Enqueued).Seconds() + node.ProcessingDelay.Seconds())
-	ls.fwd++
-	p.Hops++
+	p := ls.Finish(now)
+	if p == nil {
+		return // stale completion (see node.Line.Finish)
+	}
 	at := now + ls.propLat
 	if ls.toLocal != nil {
 		p.Arrival = ls.l.ID
@@ -401,9 +369,7 @@ func (sh *shardState) txDone(now sim.Time, arg any) {
 		}
 		sh.pool.Put(p)
 	}
-	if !ls.down && ls.q.Len() > 0 {
-		sh.startTx(ls, now)
-	}
+	ls.Start(now)
 }
 
 // importWire materializes a cross-shard arrival in the target shard.
@@ -480,12 +446,12 @@ func (sh *shardState) measure(now sim.Time, arg any) {
 	}
 	sample := sh.s.cfg.MeasureSample
 	for _, ls := range n.out {
-		if ls.down {
+		if ls.Down() {
 			continue
 		}
-		count := ls.meas.Count()
-		avg := ls.meas.Take()
-		cost, _ := ls.module.Update(avg)
+		count := ls.Meas.Count()
+		avg := ls.Meas.Take()
+		cost, _ := ls.Module.Update(avg)
 		if sample > 0 && int(n.id)%sample == 0 {
 			sh.recs = append(sh.recs, rec{at: now, node: n.id, seq: n.rseq, kind: recMeasure,
 				link: ls.l.ID, count: count, avg: avg, cost: cost})
@@ -502,50 +468,34 @@ type faultEv struct {
 	up bool
 }
 
-// fault applies one scripted state change to a directed link. Taking a link
-// down aborts the in-flight transmission and flushes the queue as outage
-// drops (packets already propagating are past the cut and survive);
-// restoring it resets the measurement state, like network does on repair.
-// In adaptive mode either transition also makes the endpoint originate an
-// update advertising the new state (DownCost or the module's reset cost) —
-// the other direction's own fault event does the same at the far endpoint,
-// which is internal/network's originate-from-both-ends in per-direction form.
+// fault applies one scripted state change to a directed link: down fails
+// its output line (node.Line.Fail: the in-flight transmission and the queue
+// become outage drops; packets already propagating are past the cut and
+// survive), up restores it (node.Line.Restore), like network does on
+// repair. In adaptive mode either transition also makes the endpoint
+// originate an update advertising the new state (DownCost or the module's
+// reset cost) — the other direction's own fault event does the same at the
+// far endpoint, which is internal/network's originate-from-both-ends in
+// per-direction form.
 func (sh *shardState) fault(now sim.Time, arg any) {
 	f := arg.(*faultEv)
 	ls := f.ls
+	if f.up != ls.Down() {
+		return // already in the requested state
+	}
 	n := sh.s.nodeAt[ls.l.From]
+	kind := recLinkDown
 	if f.up {
-		if !ls.down {
-			return
-		}
-		ls.down = false
-		ls.meas.Take() // discard any partial period measured before the cut
-		ls.module.Reset()
-		sh.recs = append(sh.recs, rec{at: now, node: n.id, seq: n.rseq, kind: recLinkUp, link: ls.l.ID})
-		n.rseq++
-		if sh.s.cfg.Adaptive {
-			sh.originate(n, now)
-		}
-		return
+		kind = recLinkUp
 	}
-	if ls.down {
-		return
-	}
-	ls.down = true
-	sh.recs = append(sh.recs, rec{at: now, node: n.id, seq: n.rseq, kind: recLinkDown, link: ls.l.ID})
+	sh.recs = append(sh.recs, rec{at: now, node: n.id, seq: n.rseq, kind: kind, link: ls.l.ID})
 	n.rseq++
-	if ls.busy {
-		ls.txEvent.Cancel()
-		ls.busy = false
-		p := ls.txPkt
-		ls.txPkt = nil
-		sh.dropOutage(n, ls, p, now)
-	}
-	for p := ls.q.Pop(); p != nil; p = ls.q.Pop() {
-		sh.dropOutage(n, ls, p, now)
+	if f.up {
+		ls.Restore()
+	} else {
+		ls.Fail(func(p *node.Packet) { sh.dropOutage(n, ls, p, now) })
 	}
 	if sh.s.cfg.Adaptive {
-		ls.meas.Take() // discard the partial period, as network's SetTrunkDown does
 		sh.originate(n, now)
 	}
 }
@@ -573,10 +523,7 @@ func (sh *shardState) inFlight() (user, ctrl int64) {
 		}
 	}
 	for _, ls := range sh.links {
-		ls.q.Scan(classify)
-		if ls.txPkt != nil {
-			classify(ls.txPkt)
-		}
+		ls.Scan(classify)
 	}
 	for _, ln := range sh.nodes {
 		for i := range ln.pend {

@@ -136,28 +136,9 @@ func (s *Sim) Audit() error {
 	}
 	for _, sh := range s.shards {
 		for _, ls := range sh.links {
-			name := fmt.Sprintf("link %d (%s->%s)", ls.l.ID,
-				s.g.Node(ls.l.From).Name, s.g.Node(ls.l.To).Name)
-			if ls.busy {
-				if ls.down {
-					return fmt.Errorf("%s: transmitting while down", name)
-				}
-				if ls.txPkt == nil {
-					return fmt.Errorf("%s: busy with no in-flight packet", name)
-				}
-				if !ls.txEvent.Pending() {
-					return fmt.Errorf("%s: busy with no pending completion event", name)
-				}
-			} else {
-				if ls.txPkt != nil {
-					return fmt.Errorf("%s: idle with an in-flight packet", name)
-				}
-				if !ls.down && ls.q.Len() > 0 {
-					return fmt.Errorf("%s: idle with %d queued packets", name, ls.q.Len())
-				}
-			}
-			if ls.down && ls.q.Len() > 0 {
-				return fmt.Errorf("%s: down with %d queued packets", name, ls.q.Len())
+			if err := ls.Audit(); err != nil {
+				return fmt.Errorf("link %d (%s->%s): %w", ls.l.ID,
+					s.g.Node(ls.l.From).Name, s.g.Node(ls.l.To).Name, err)
 			}
 		}
 	}

@@ -385,4 +385,4 @@ func (s *Sim) DestsOf(id topology.NodeID) []topology.NodeID { return s.nodeAt[id
 // LinkCost returns the cost currently advertised by the link's metric
 // module — the same observable network.LinkCost exposes, for per-trunk
 // advertised-cost time-series comparison.
-func (s *Sim) LinkCost(l topology.LinkID) float64 { return s.linkAt[l].module.Cost() }
+func (s *Sim) LinkCost(l topology.LinkID) float64 { return s.linkAt[l].Module.Cost() }

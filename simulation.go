@@ -34,7 +34,8 @@ type SimConfig struct {
 	Ablations []HNMOption
 	// Multipath enables equal-cost multipath forwarding — the §4.5
 	// extension that load-shares *within* a single large flow, which the
-	// metric alone cannot do.
+	// metric alone cannot do. It needs an SPF metric: NewSimulation panics
+	// when it is combined with BF1969.
 	Multipath bool
 	// TraceCapacity, when positive, enables the event log returned by
 	// Simulation.Trace, retaining up to this many events.
@@ -90,9 +91,6 @@ func NewSimulation(t *Topology, tr *Traffic, cfg SimConfig) *Simulation {
 	if cfg.TraceCapacity > 0 {
 		ring = trace.NewRing(cfg.TraceCapacity)
 		nc.Trace = ring
-	}
-	if cfg.Multipath && cfg.Metric == BF1969 {
-		panic("arpanet: Multipath requires an SPF metric")
 	}
 	if len(cfg.Ablations) > 0 {
 		if cfg.Metric != HNSPF {
