@@ -29,7 +29,7 @@ type analysisConfig struct {
 }
 
 // AnalysisWorkers bounds the worker pool the model build fans its per-link
-// shortest-path computations over. The default is GOMAXPROCS; 1 forces a
+// hop-distance searches over. The default is GOMAXPROCS; 1 forces a
 // sequential build. The result is identical for any worker count.
 func AnalysisWorkers(n int) AnalysisOption {
 	if n < 1 {
@@ -38,9 +38,9 @@ func AnalysisWorkers(n int) AnalysisOption {
 	return func(c *analysisConfig) { c.workers = n }
 }
 
-// NewAnalysis builds the model: one shortest-path computation per link and
-// source, fanned out over a bounded worker pool (see AnalysisWorkers) with
-// per-worker reusable SPF workspaces.
+// NewAnalysis builds the model: per link, one breadth-first hop search
+// without the link from each source that can route over it, fanned out
+// over a bounded worker pool (see AnalysisWorkers).
 func NewAnalysis(t *Topology, tr *Traffic, opts ...AnalysisOption) *Analysis {
 	if tr.t != t {
 		panic("arpanet: Traffic was built for a different Topology")

@@ -305,7 +305,7 @@ func BenchmarkHybridSimSecondsPerSec(b *testing.B) {
 
 // BenchmarkNewAnalysis measures the §5 model build through the public API —
 // the dominant cost behind Figures 7-12 and the target of the parallel,
-// workspace-recycling build.
+// breadth-first build.
 func BenchmarkNewAnalysis(b *testing.B) {
 	topo := Arpanet1987()
 	tr := topo.GravityTraffic(ArpanetWeights(), 400_000)

@@ -69,7 +69,7 @@ var hotScopes = []struct {
 		"Line.Start", "Line.Finish", "Line.Scan",
 	}},
 	{"internal/spf", []string{
-		"ComputeInto", "IncrementalRouter.Update", "IncrementalRouter.UpdateBatch",
+		"ComputeInto", "HopsInto", "IncrementalRouter.Update", "IncrementalRouter.UpdateBatch",
 		"Tree.NextHop", "Tree.Dist",
 	}},
 	{"internal/shard", []string{

@@ -11,24 +11,25 @@ import (
 
 // TestParallelBuildDeterminism: New with workers=N must produce results
 // deeply equal to workers=1 — routes, base traffic, response tables, shed
-// statistics and response samples — on both reference topologies. The
-// worker pool only partitions the per-link work; it must not influence any
-// output bit.
+// statistics and response samples — on both reference topologies and the
+// 96-node hierarchical benchmark map. The worker pool only partitions the
+// per-link work; it must not influence any output bit.
 func TestParallelBuildDeterminism(t *testing.T) {
+	hg, hm := hier96()
 	cases := []struct {
-		name    string
-		g       *topology.Graph
-		weights map[string]float64
+		name string
+		g    *topology.Graph
+		m    *traffic.Matrix
 	}{
-		{"arpanet1987", topology.Arpanet(), topology.ArpanetWeights()},
-		{"milnet", topology.Milnet(), topology.MilnetWeights()},
+		{"arpanet1987", topology.Arpanet(), traffic.Gravity(topology.Arpanet(), topology.ArpanetWeights(), 400000)},
+		{"milnet", topology.Milnet(), traffic.Gravity(topology.Milnet(), topology.MilnetWeights(), 400000)},
+		{"hier96", hg, hm},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			m := traffic.Gravity(tc.g, tc.weights, 400000)
-			seq := New(tc.g, m, WithWorkers(1))
+			seq := New(tc.g, tc.m, WithWorkers(1))
 			for _, workers := range []int{2, 8} {
-				par := New(tc.g, m, WithWorkers(workers))
+				par := New(tc.g, tc.m, WithWorkers(workers))
 				if !reflect.DeepEqual(seq.routes, par.routes) {
 					t.Fatalf("workers=%d: routes differ from sequential build", workers)
 				}

@@ -12,15 +12,20 @@
 //
 // The build fans out over links: each directed link's thresholds depend
 // only on shortest paths with that one link priced out, so links are
-// embarrassingly parallel. A bounded worker pool (default GOMAXPROCS,
-// see WithWorkers) processes links off a shared counter; every worker owns
-// one spf.Workspace and writes only its link's routes/base slots, so the
-// result is identical — bit for bit — to a sequential build.
+// embarrassingly parallel. Because every cost is one hop, the distances
+// are breadth-first searches: one ambient all-pairs hop matrix per build,
+// plus one search without the link per source whose shortest path the
+// link can extend (see linkBuilder.build). A bounded worker pool (default
+// GOMAXPROCS, see WithWorkers) processes links off a shared counter; every
+// worker owns its search scratch and writes only its link's routes/base
+// slots, so the result is identical — bit for bit — to a sequential build.
 package equilibrium
 
 import (
+	"cmp"
 	"math"
 	"runtime"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -75,13 +80,14 @@ func WithWorkers(n int) Option {
 }
 
 // New builds the model for a topology and traffic matrix. For every
-// directed link L = (u,v) it computes hop distances on the graph without L
-// and derives, per source-destination pair, the threshold
+// directed link L = (u,v) and source-destination pair it derives the
+// threshold
 //
 //	w* = d(s,t | ¬L) − d(s,u | ¬L) − d(v,t | ¬L)
 //
 // — the largest cost of L (in hops) at which the s→t route still crosses L
-// (ties in favor of L). Pairs with w* < 1 never use the link.
+// (ties in favor of L), with d the hop distance on the graph without L.
+// Pairs with w* < 1 never use the link.
 func New(g *topology.Graph, m *traffic.Matrix, opts ...Option) *Model {
 	if err := g.Validate(); err != nil {
 		panic(err)
@@ -101,6 +107,9 @@ func New(g *topology.Graph, m *traffic.Matrix, opts ...Option) *Model {
 		base:   make([]float64, nl),
 		tables: make([]responseTable, nl),
 	}
+	// Ambient hop distances, shared read-only by the workers and dropped
+	// when New returns.
+	hops := spf.AllPairsHops(g)
 
 	workers := cfg.workers
 	if workers > nl {
@@ -125,7 +134,7 @@ func New(g *topology.Graph, m *traffic.Matrix, opts ...Option) *Model {
 					panicked.Store(p)
 				}
 			}()
-			b := newLinkBuilder(g, m)
+			b := newLinkBuilder(g, m, hops)
 			for {
 				li := int(next.Add(1)) - 1
 				if li >= nl {
@@ -154,7 +163,7 @@ func New(g *topology.Graph, m *traffic.Matrix, opts ...Option) *Model {
 	for _, rs := range mod.routes {
 		all = append(all, rs...)
 	}
-	sort.SliceStable(all, func(a, b int) bool { return all[a].shedAt < all[b].shedAt })
+	slices.SortStableFunc(all, byShedAt)
 	mod.allTable = newResponseTable(all)
 	for _, b := range mod.base {
 		mod.allBase += b
@@ -162,95 +171,74 @@ func New(g *topology.Graph, m *traffic.Matrix, opts ...Option) *Model {
 	return mod
 }
 
-// linkBuilder is one worker's scratch state: a reusable SPF workspace, the
-// cost vector (all ambient except the link under consideration) and the
-// d(v,t | ¬L) row saved from the link head's shortest-path tree.
+// byShedAt orders routes by ascending shed threshold.
+func byShedAt(a, b routeStat) int { return cmp.Compare(a.shedAt, b.shedAt) }
+
+// linkBuilder is one worker's scratch state: the shared ambient hop
+// matrix and the BFS distance row and queue for one source with the link
+// under consideration removed.
 type linkBuilder struct {
 	g     *topology.Graph
 	m     *traffic.Matrix
-	ws    *spf.Workspace
-	costs []float64 // 1 everywhere except costs[current link] = huge
-	fromV []float64 // cleaned d(v, t | ¬L) per destination
-	huge  float64
+	hops  [][]int // ambient d(s,t)
+	dist  []int   // d(s,t | ¬L) for the current source, -1 when unreachable
+	queue []topology.NodeID
 }
 
-func newLinkBuilder(g *topology.Graph, m *traffic.Matrix) *linkBuilder {
-	b := &linkBuilder{
+func newLinkBuilder(g *topology.Graph, m *traffic.Matrix, hops [][]int) *linkBuilder {
+	return &linkBuilder{
 		g:     g,
 		m:     m,
-		ws:    spf.NewWorkspace(),
-		costs: make([]float64, g.NumLinks()),
-		fromV: make([]float64, g.NumNodes()),
-		// spf.Compute rejects infinite costs, so link removal is emulated
-		// with a cost larger than any simple path; clean() maps distances
-		// that had to cross the link back to +Inf.
-		huge: float64(10 * g.NumNodes()),
+		hops:  hops,
+		dist:  make([]int, g.NumNodes()),
+		queue: make([]topology.NodeID, g.NumNodes()),
 	}
-	for i := range b.costs {
-		b.costs[i] = 1
-	}
-	return b
 }
 
-// build computes one link's route thresholds and base traffic. The routes
-// come out in (source, destination) order, then sorted by threshold — the
-// same order for any worker assignment.
+// build computes one link's route thresholds and base traffic. With unit
+// costs, d(s,u | ¬L) = d(s,u) and d(v,t | ¬L) = d(v,t): a shortest path
+// to u never leaves u over L, and one from v never enters v over it. Both
+// come from the ambient matrix, finite everywhere because New accepts only
+// connected graphs of paired trunks. Only d(s,t | ¬L) needs a search
+// without L, and only from sources where L continues a shortest path
+// (d(s,v) = d(s,u)+1); from any other source d(s,t | ¬L) ≤ d(s,v) +
+// d(v,t) ≤ d(s,u) + d(v,t), so w* ≤ 0 for every t. The routes come out in
+// (source, destination) order, then sorted by threshold — the same order
+// for any worker assignment.
 func (b *linkBuilder) build(lid topology.LinkID) ([]routeStat, float64) {
-	g, n := b.g, b.g.NumNodes()
-	link := g.Link(lid)
-	b.costs[lid] = b.huge
-	defer func() { b.costs[lid] = 1 }()
-	costFn := func(l topology.LinkID) float64 { return b.costs[l] }
-
-	// d(v, t | ¬L) for every destination, from one tree rooted at the
-	// link's head. The tree lives in the shared workspace, so the row is
-	// copied out before the per-source trees overwrite it.
-	tv := spf.ComputeInto(b.ws, g, link.To, costFn)
-	for t := 0; t < n; t++ {
-		b.fromV[t] = clean(tv.Dist(topology.NodeID(t)), b.huge)
-	}
-
+	link := b.g.Link(lid)
+	fromV := b.hops[link.To]
 	var routes []routeStat
 	var base float64
-	for s := 0; s < n; s++ {
-		ts := spf.ComputeInto(b.ws, g, topology.NodeID(s), costFn)
-		toU := clean(ts.Dist(link.From), b.huge) // d(s, u | ¬L)
-		for t := 0; t < n; t++ {
+	for s, row := range b.hops {
+		toU := row[link.From]
+		if row[link.To] != toU+1 {
+			continue
+		}
+		src := topology.NodeID(s)
+		spf.HopsInto(b.g, src, lid, b.dist, b.queue)
+		for t, toT := range b.dist {
 			if s == t {
 				continue
 			}
-			rate := b.m.Rate(topology.NodeID(s), topology.NodeID(t))
+			rate := b.m.Rate(src, topology.NodeID(t))
 			if rate <= 0 {
 				continue
 			}
-			dst := clean(ts.Dist(topology.NodeID(t)), b.huge)
-			a := toU + b.fromV[t]
-			if math.IsInf(dst, 1) && math.IsInf(a, 1) {
-				continue
+			a := toU + fromV[t]
+			wstar := math.Inf(1) // L is a bridge for s→t
+			if toT >= 0 {
+				if toT-a < 1 {
+					continue // never uses the link
+				}
+				wstar = float64(toT - a)
 			}
-			wstar := dst - a
-			if wstar < 1 {
-				continue // never uses the link
-			}
-			routes = append(routes, routeStat{
-				shedAt: wstar,
-				length: int(a) + 1,
-				rate:   rate,
-			})
+			routes = append(routes, routeStat{shedAt: wstar, length: a + 1, rate: rate})
 			base += rate
 		}
 	}
-	sort.SliceStable(routes, func(a, b int) bool { return routes[a].shedAt < routes[b].shedAt })
+	slices.SortStableFunc(routes, byShedAt)
 	return routes, base
-}
-
-// clean converts path lengths that had to route over the "removed" link
-// back to +Inf.
-func clean(d, huge float64) float64 {
-	if d >= huge {
-		return math.Inf(1)
-	}
-	return d
 }
 
 // responseTable answers "traffic remaining at reported cost w" queries in

@@ -117,16 +117,17 @@ func (n *Network) BufferDrops() int64 { return n.bufferDrops.Value() }
 // the matrix — Table 1's "Internode Minimum Path".
 func (n *Network) minPathHops() float64 {
 	var sum, weight float64
-	for s := 0; s < n.g.NumNodes(); s++ {
+	nn := n.g.NumNodes()
+	hops, queue := make([]int, nn), make([]topology.NodeID, nn)
+	for s := 0; s < nn; s++ {
 		src := topology.NodeID(s)
-		tree := spf.HopTree(n.g, src)
-		for d := 0; d < n.g.NumNodes(); d++ {
-			dst := topology.NodeID(d)
-			rate := n.cfg.Matrix.Rate(src, dst)
+		spf.HopsInto(n.g, src, topology.NoLink, hops, queue)
+		for d, h := range hops {
+			rate := n.cfg.Matrix.Rate(src, topology.NodeID(d))
 			if rate <= 0 {
 				continue
 			}
-			if h := tree.Hops(n.g, dst); h > 0 {
+			if h > 0 {
 				sum += rate * float64(h)
 				weight += rate
 			}

@@ -132,7 +132,9 @@ func TestRouterIncrementalSkips(t *testing.T) {
 
 // TestIncrementalSkipsNoEffectUpdates raises the equal-cost forward link
 // into D that lost the tie: it is out of the tree, so the update is
-// absorbed, and repeating it is a no-op that is not counted.
+// absorbed, and repeating it is a no-op that is not counted. Lowering it
+// back to the tie is a decrease that creates no strictly shorter path: it
+// is absorbed too, and D keeps its parent link.
 func TestIncrementalSkipsNoEffectUpdates(t *testing.T) {
 	g, ids := diamond()
 	a, d := g.MustLookup("A"), g.MustLookup("D")
@@ -141,10 +143,15 @@ func TestIncrementalSkipsNoEffectUpdates(t *testing.T) {
 	if r.Tree().Parent(d) == ids["cd"] {
 		unused = ids["bd"]
 	}
+	parent := r.Tree().Parent(d)
 	walkSkipSteps(t, r, d, []skipStep{
 		{"out-of-tree increase", []topology.LinkID{unused}, []float64{7}, 1, 0},
 		{"unchanged cost", []topology.LinkID{unused}, []float64{7}, 0, 0},
+		{"equal-cost decrease", []topology.LinkID{unused}, []float64{1}, 1, 0},
 	})
+	if r.Tree().Parent(d) != parent {
+		t.Error("an equal-cost decrease moved D's parent link")
+	}
 }
 
 // TestRouterUpdateBatch prices the whole B path up in one batch, which

@@ -135,18 +135,40 @@ func HopTree(g *topology.Graph, root topology.NodeID) *Tree {
 	return Compute(g, root, func(topology.LinkID) float64 { return 1 })
 }
 
+// HopsInto is the unit-cost case of Compute without the heap: a
+// breadth-first search from root over every link of g except skip
+// (topology.NoLink skips none). It writes each node's min-hop distance
+// into dist, -1 where unreachable; the distances equal HopTree's. dist and
+// queue are caller-owned scratch of at least g.NumNodes() entries, so
+// repeated searches allocate nothing.
+func HopsInto(g *topology.Graph, root topology.NodeID, skip topology.LinkID, dist []int, queue []topology.NodeID) {
+	dist = dist[:g.NumNodes()]
+	for i := range dist {
+		dist[i] = -1
+	}
+	dist[root] = 0
+	queue[0] = root
+	for head, tail := 0, 1; head < tail; head++ {
+		u := queue[head]
+		for _, lid := range g.Out(u) {
+			if v := g.Link(lid).To; dist[v] < 0 && lid != skip {
+				dist[v] = dist[u] + 1
+				queue[tail] = v
+				tail++
+			}
+		}
+	}
+}
+
 // AllPairsHops returns the min-hop distance matrix as [src][dst] hop
 // counts (-1 when unreachable).
 func AllPairsHops(g *topology.Graph) [][]int {
 	n := g.NumNodes()
 	m := make([][]int, n)
-	for s := 0; s < n; s++ {
-		t := HopTree(g, topology.NodeID(s))
-		row := make([]int, n)
-		for d := 0; d < n; d++ {
-			row[d] = t.Hops(g, topology.NodeID(d))
-		}
-		m[s] = row
+	queue := make([]topology.NodeID, n)
+	for s := range m {
+		m[s] = make([]int, n)
+		HopsInto(g, topology.NodeID(s), topology.NoLink, m[s], queue)
 	}
 	return m
 }

@@ -187,6 +187,49 @@ func TestAllPairsHops(t *testing.T) {
 	}
 }
 
+// TestHopsIntoMatchesDijkstra: with every link but skip at cost 1 and skip
+// priced above any simple path, Dijkstra's distances are the breadth-first
+// hop counts, -1 where only the skipped link reaches a node. Checked from
+// every root, for no skip and for each link in turn.
+func TestHopsIntoMatchesDijkstra(t *testing.T) {
+	for _, g := range []*topology.Graph{topology.Arpanet(), topology.Line(5, topology.T56), topology.Random(20, 2.5, 3)} {
+		n := g.NumNodes()
+		huge := float64(10 * n)
+		dist, queue := make([]int, n), make([]topology.NodeID, n)
+		ws := NewWorkspace()
+		for skip := topology.NoLink; int(skip) < g.NumLinks(); skip++ {
+			cost := func(l topology.LinkID) float64 {
+				if l == skip {
+					return huge
+				}
+				return 1
+			}
+			for root := 0; root < n; root++ {
+				HopsInto(g, topology.NodeID(root), skip, dist, queue)
+				tree := ComputeInto(ws, g, topology.NodeID(root), cost)
+				for v, h := range dist {
+					want := tree.Dist(topology.NodeID(v))
+					if want >= huge {
+						want = -1
+					}
+					if float64(h) != want {
+						t.Fatalf("%d nodes, skip %d: hops %d→%d = %d, Dijkstra %v", n, skip, root, v, h, want)
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestHopsIntoAllocFree: the search runs entirely in caller scratch.
+func TestHopsIntoAllocFree(t *testing.T) {
+	g := topology.Arpanet()
+	dist, queue := make([]int, g.NumNodes()), make([]topology.NodeID, g.NumNodes())
+	if a := testing.AllocsPerRun(100, func() { HopsInto(g, 3, 7, dist, queue) }); a != 0 {
+		t.Errorf("HopsInto allocates %v times per search", a)
+	}
+}
+
 // Property: Dijkstra on random graphs satisfies the triangle inequality
 // dist(d) <= dist(u) + cost(u→d) for every link.
 func TestDijkstraProperty(t *testing.T) {
